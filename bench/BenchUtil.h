@@ -15,6 +15,8 @@
 #ifndef SLP_BENCH_BENCHUTIL_H
 #define SLP_BENCH_BENCHUTIL_H
 
+#include "CliUtil.h"
+
 #include "baselines/BerdineProver.h"
 #include "baselines/UnfoldingProver.h"
 #include "core/Prover.h"
@@ -33,10 +35,22 @@ namespace bench {
 
 /// Reads an unsigned configuration value from the environment, so the
 /// harnesses can be scaled up to the paper's full 1000-instance rows
-/// (e.g. SLP_BENCH_INSTANCES=1000) without recompiling.
+/// (e.g. SLP_BENCH_INSTANCES=1000) without recompiling. A malformed
+/// value (`abc`, `1e3`, `-1`, empty) exits with a diagnostic instead of
+/// silently running a different experiment.
 inline uint64_t envOr(const char *Name, uint64_t Default) {
   const char *V = std::getenv(Name);
-  return V ? std::strtoull(V, nullptr, 10) : Default;
+  if (!V)
+    return Default;
+  uint64_t N = 0;
+  if (!cli::parseUnsigned(V, N)) {
+    std::fprintf(stderr,
+                 "bench: bad value %s='%s' (expected an unsigned decimal "
+                 "integer)\n",
+                 Name, V);
+    std::exit(2);
+  }
+  return N;
 }
 
 /// Outcome of running one prover over a batch of entailments.

@@ -73,7 +73,8 @@ std::vector<BackendTally> BatchProver::Worker::tallies() const {
   return {Tally};
 }
 
-QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
+QueryResult BatchProver::proveOne(const core::ProofTask &Task,
+                                      Worker &W) {
   QueryResult Out;
   PhaseHistograms &PH = phaseHistograms();
   obs::TraceSpan QuerySpan("query");
@@ -174,7 +175,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       // Backend path: hand the canonical form to the backend as text
       // (its own tables, its own parse), so racing members never touch
       // the worker session.
-      ProofTask Canon{sl::str(W.Session.terms(), E), Task.Name, Task.Group};
+      core::ProofTask Canon{sl::str(W.Session.terms(), E), Task.Name, Task.Group};
       Fuel F = Opts.FuelPerQuery ? Fuel(Opts.FuelPerQuery) : Fuel();
       core::BackendResult BR = W.Backend->prove(Canon, F);
       ProveTime = ProveTimer.seconds();
@@ -236,7 +237,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
 }
 
 std::vector<QueryResult>
-BatchProver::run(const std::vector<ProofTask> &Tasks) {
+BatchProver::run(const std::vector<core::ProofTask> &Tasks) {
   std::vector<QueryResult> Results(Tasks.size());
   Timer T;
 
@@ -400,7 +401,7 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
 
 std::vector<QueryResult>
 BatchProver::run(const std::vector<std::string> &Queries) {
-  std::vector<ProofTask> Tasks;
+  std::vector<core::ProofTask> Tasks;
   Tasks.reserve(Queries.size());
   for (const std::string &Q : Queries)
     Tasks.push_back({Q, /*Name=*/"", /*Group=*/0});

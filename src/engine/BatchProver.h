@@ -43,7 +43,6 @@
 
 #include "core/ProverSession.h"
 #include "engine/Portfolio.h"
-#include "engine/ProofTask.h"
 #include "engine/ResultCache.h"
 #include "support/Fuel.h"
 
@@ -193,7 +192,7 @@ public:
 
   /// Discharges every task of \p Tasks; returns results in input
   /// order.
-  std::vector<QueryResult> run(const std::vector<ProofTask> &Tasks);
+  std::vector<QueryResult> run(const std::vector<core::ProofTask> &Tasks);
 
   /// Convenience overload: proves every query of \p Queries (one
   /// entailment each, in the slp concrete syntax) as anonymous tasks.
@@ -235,7 +234,7 @@ private:
     std::vector<BackendTally> tallies() const;
   };
 
-  QueryResult proveOne(const ProofTask &Task, Worker &W);
+  QueryResult proveOne(const core::ProofTask &Task, Worker &W);
 
   BatchOptions Opts;
   ResultCache Cache;

@@ -6,6 +6,8 @@
 
 #include "superposition/Index.h"
 
+#include "support/Hashing.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -13,102 +15,70 @@ using namespace slp;
 using namespace slp::sup;
 
 //===----------------------------------------------------------------------===//
-// SubsumptionIndex
+// ClauseSignature
 //===----------------------------------------------------------------------===//
 
-uint32_t SubsumptionIndex::allocNode() {
-  if (!Free.empty()) {
-    uint32_t Idx = Free.back();
-    Free.pop_back();
-    return Idx;
-  }
-  Pool.emplace_back();
-  return static_cast<uint32_t>(Pool.size() - 1);
-}
-
-void SubsumptionIndex::freeNode(uint32_t Idx) {
-  Pool[Idx].Kids.clear();
-  Pool[Idx].Rest.clear();
-  Pool[Idx].Ids.clear();
-  Free.push_back(Idx);
+uint64_t ClauseSignature::symbolBit(Symbol S) {
+  return 1ull << (hashValue(S.id()) & 63);
 }
 
 namespace {
 
-/// First child slot whose feature value is >= V (Kids sorted by value).
-std::vector<std::pair<uint16_t, uint32_t>>::const_iterator
-kidLowerBound(const std::vector<std::pair<uint16_t, uint32_t>> &Kids,
-              uint16_t V) {
-  return std::lower_bound(
-      Kids.begin(), Kids.end(), V,
-      [](const std::pair<uint16_t, uint32_t> &K, uint16_t W) {
-        return K.first < W;
-      });
+/// Adds the root symbol of every subterm of \p T to \p Mask.
+void addSymbols(const Term *T, uint64_t &Mask) {
+  Mask |= ClauseSignature::symbolBit(T->symbol());
+  for (const Term *A : T->args())
+    addSymbols(A, Mask);
 }
 
 } // namespace
 
-uint32_t SubsumptionIndex::findKid(const Node &N, uint16_t V) const {
-  auto It = kidLowerBound(N.Kids, V);
-  return It != N.Kids.end() && It->first == V ? It->second : ~0u;
+ClauseSignature ClauseSignature::of(ClauseView C) {
+  ClauseSignature S;
+  for (const Equation &E : C.neg()) {
+    S.Neg |= equationBit(E);
+    addSymbols(E.lhs(), S.Symbols);
+    addSymbols(E.rhs(), S.Symbols);
+  }
+  for (const Equation &E : C.pos()) {
+    S.Pos |= equationBit(E);
+    addSymbols(E.lhs(), S.Symbols);
+    addSymbols(E.rhs(), S.Symbols);
+  }
+  return S;
 }
 
-void SubsumptionIndex::insert(uint32_t Id, const FeatureVector &FV) {
-  uint32_t Cur = 0;
-  for (size_t I = 0; I != PrefixDepth; ++I) {
-    uint32_t Kid = findKid(Pool[Cur], FV[I]);
-    if (Kid == ~0u) {
-      Kid = allocNode(); // May reallocate Pool; re-find the parent.
-      Node &N = Pool[Cur];
-      auto It = kidLowerBound(N.Kids, FV[I]);
-      N.Kids.insert(It, {FV[I], Kid});
-    }
-    Cur = Kid;
-  }
-  Node &Leaf = Pool[Cur];
-  assert(std::find(Leaf.Ids.begin(), Leaf.Ids.end(), Id) ==
-             Leaf.Ids.end() &&
+//===----------------------------------------------------------------------===//
+// LiteralIndex
+//===----------------------------------------------------------------------===//
+
+std::vector<uint32_t> &LiteralIndex::listFor(ClauseView C) {
+  if (C.empty())
+    return Empty;
+  uint64_t Min = ~0ull;
+  for (const Equation &E : C.neg())
+    Min = std::min(Min, key(E, true));
+  for (const Equation &E : C.pos())
+    Min = std::min(Min, key(E, false));
+  return Lists[Min];
+}
+
+void LiteralIndex::insert(uint32_t Id, ClauseView C) {
+  std::vector<uint32_t> &L = listFor(C);
+  assert(std::find(L.begin(), L.end(), Id) == L.end() &&
          "clause id inserted twice");
-  for (size_t J = PrefixDepth; J != FeatureVector::NumFeatures; ++J)
-    Leaf.Rest.push_back(FV[J]);
-  Leaf.Ids.push_back(Id);
+  L.push_back(Id);
   ++NumEntries;
 }
 
-bool SubsumptionIndex::erase(uint32_t Id, const FeatureVector &FV) {
-  // Walk the path down, then remove the id (swap with the last entry,
-  // feature block and all) and prune now-empty nodes from the leaf
-  // back up so retrieval never visits dead regions.
-  std::array<uint32_t, PrefixDepth> Path;
-  uint32_t Cur = 0;
-  for (size_t I = 0; I != PrefixDepth; ++I) {
-    Path[I] = Cur;
-    Cur = findKid(Pool[Cur], FV[I]);
-    if (Cur == ~0u)
-      return false;
-  }
-  Node &Leaf = Pool[Cur];
-  auto It = std::find(Leaf.Ids.begin(), Leaf.Ids.end(), Id);
-  if (It == Leaf.Ids.end())
+bool LiteralIndex::erase(uint32_t Id, ClauseView C) {
+  std::vector<uint32_t> &L = listFor(C);
+  auto It = std::find(L.begin(), L.end(), Id);
+  if (It == L.end())
     return false;
-  size_t E = static_cast<size_t>(It - Leaf.Ids.begin());
-  size_t Last = Leaf.Ids.size() - 1;
-  Leaf.Ids[E] = Leaf.Ids[Last];
-  Leaf.Ids.pop_back();
-  if (E != Last)
-    std::copy_n(Leaf.Rest.begin() + Last * RestFeatures, RestFeatures,
-                Leaf.Rest.begin() + E * RestFeatures);
-  Leaf.Rest.resize(Last * RestFeatures);
+  *It = L.back();
+  L.pop_back();
   --NumEntries;
-  for (size_t I = PrefixDepth;
-       I != 0 && Pool[Cur].Ids.empty() && Pool[Cur].Kids.empty(); --I) {
-    Node &Parent = Pool[Path[I - 1]];
-    auto KidIt = kidLowerBound(Parent.Kids, FV[I - 1]);
-    assert(KidIt != Parent.Kids.end() && KidIt->second == Cur);
-    Parent.Kids.erase(KidIt);
-    freeNode(Cur);
-    Cur = Path[I - 1];
-  }
   return true;
 }
 
@@ -117,14 +87,14 @@ bool SubsumptionIndex::erase(uint32_t Id, const FeatureVector &FV) {
 //===----------------------------------------------------------------------===//
 
 void DemodIndex::addLhs(Symbol S) {
-  uint64_t Bit = FeatureVector::symbolBit(S);
+  uint64_t Bit = ClauseSignature::symbolBit(S);
   unsigned Pos = static_cast<unsigned>(__builtin_ctzll(Bit));
   if (BitCount[Pos]++ == 0)
     Mask |= Bit;
 }
 
 void DemodIndex::removeLhs(Symbol S) {
-  uint64_t Bit = FeatureVector::symbolBit(S);
+  uint64_t Bit = ClauseSignature::symbolBit(S);
   unsigned Pos = static_cast<unsigned>(__builtin_ctzll(Bit));
   assert(BitCount[Pos] != 0 && "removing a rule that was never added");
   if (--BitCount[Pos] == 0)

@@ -7,199 +7,128 @@
 /// \file
 /// Clause indexing for the saturation engine's redundancy elimination.
 ///
-/// SubsumptionIndex is a feature-vector trie (Schulz): clause ids are
-/// stored at the leaf reached by their FeatureVector, and because every
-/// feature is monotone under subsumption, the clauses that can subsume
-/// a query C live on trie paths that are pointwise <= FV(C), while the
-/// clauses C can subsume live on paths pointwise >= FV(C). A retrieval
-/// therefore visits only the dominated (or dominating) region of the
-/// trie instead of scanning the whole clause database.
+/// Every pure clause is a set of *ground* (dis)equations, so subsumption
+/// (Γ_D ⊆ Γ_C and ∆_D ⊆ ∆_C) is propositional over equation atoms and
+/// SAT-style literal-occurrence indexing is exact for it:
 ///
-/// The trie is deliberately shallow: only the first PrefixDepth
-/// features (the literal counts and depths, which spread clauses the
-/// most) branch; the remaining bucket features of every entry live
-/// contiguously in its leaf, laid out in retrieval order. A full-depth
-/// trie spends most of a retrieval pointer-chasing sparsely populated
-/// suffix levels; the shallow form replaces that with a linear
-/// dominance scan over a flat uint16_t array — the branch prefix does
-/// the coarse pruning, the scan streams through a cache line per
-/// couple of entries. Nodes live contiguously in a pool (32-bit
-/// indices, free list for pruned subtrees), children are kept in small
-/// sorted vectors, and retrieval is visitor-based so forward-
-/// subsumption queries can stop at the first hit instead of
-/// materializing the whole candidate set. Retrieval order (which is
-/// NOT part of the API contract) differs from the full-depth trie;
-/// verdicts are unaffected because both sides of every query are
-/// order-independent (any subsumer suffices forward, the subsumed set
-/// is deleted wholesale backward).
+///   - ClauseSignature is a 24-byte filter: one 64-bit bloom of the
+///     equation hashes per polarity, plus a bloom of the root symbols
+///     of every subterm. If D subsumes C, each of D's three masks is a
+///     bitwise subset of C's (for any ground terms, constants or not),
+///     so a failed subset test rejects a candidate without touching
+///     its equations.
+///   - LiteralIndex files each live clause under exactly one of its
+///     literals, the one with the minimum key (equation hash plus
+///     polarity). A subsumer D of C has all its literals in C, its
+///     minimum-key literal included, so probing the lists of C's own
+///     literals visits every subsumer of C.
+///
+/// Backward subsumption (the clauses a new clause subsumes) needs no
+/// index: it runs once per kept clause and scans the signatures of the
+/// live clauses for supersets.
 ///
 /// DemodIndex is a root-symbol fingerprint over the left-hand sides of
 /// the active unit demodulators. Each rule sets one bit of a 64-bit
 /// mask (per-bit reference counted, so retiring a rule clears its bit
 /// when the last rule sharing it disappears). Normalization then skips
 /// the rewrite-rule hash lookup for every subterm whose root symbol
-/// cannot match, and whole clauses are skipped when their symbol
-/// fingerprint (FeatureVector::symbolMask) is disjoint from the rule
-/// mask.
+/// cannot match, and whole clauses are skipped when their signature's
+/// symbol mask is disjoint from the rule mask.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLP_SUPERPOSITION_INDEX_H
 #define SLP_SUPERPOSITION_INDEX_H
 
-#include "superposition/FeatureVector.h"
+#include "superposition/Clause.h"
 
 #include <array>
+#include <unordered_map>
 #include <vector>
 
 namespace slp {
 namespace sup {
 
-/// Feature-vector trie mapping clause ids to their FeatureVector,
-/// answering the two one-sided dominance queries subsumption needs.
-class SubsumptionIndex {
+/// Subsumption-monotone bloom signature of a clause.
+struct ClauseSignature {
+  uint64_t Neg = 0;     ///< One bit per Γ equation hash.
+  uint64_t Pos = 0;     ///< One bit per ∆ equation hash.
+  uint64_t Symbols = 0; ///< One bit per root symbol of every subterm.
+
+  /// Computes the signature of \p C (one term walk per equation side).
+  static ClauseSignature of(ClauseView C);
+
+  /// True iff every bit of this signature is set in \p O. Necessary
+  /// (not sufficient) for `this` clause to subsume `O`'s.
+  bool subsetOf(const ClauseSignature &O) const {
+    return !(Neg & ~O.Neg) && !(Pos & ~O.Pos) && !(Symbols & ~O.Symbols);
+  }
+
+  /// The bloom bit an equation hashes to (in either polarity).
+  static uint64_t equationBit(const Equation &E) {
+    return 1ull << (E.hash() >> 58);
+  }
+
+  /// The fingerprint bit a symbol hashes to (shared with DemodIndex).
+  static uint64_t symbolBit(Symbol S);
+};
+
+/// Live clause ids, each filed under its minimum-key literal; answers
+/// "which stored clauses can subsume C" by probing C's literals.
+class LiteralIndex {
 public:
-  SubsumptionIndex() { Pool.emplace_back(); /* root */ }
+  /// Files \p Id (whose clause is \p C) under C's minimum-key literal.
+  /// A clause id may be inserted again after erase (the delete/revive
+  /// machinery does this); inserting an id that is currently present
+  /// is an API-contract violation.
+  void insert(uint32_t Id, ClauseView C);
 
-  /// Registers \p Id under \p FV. A clause id may be inserted again
-  /// after erase (the delete/revive machinery does this); inserting an
-  /// id that is currently present is an API-contract violation.
-  void insert(uint32_t Id, const FeatureVector &FV);
-
-  /// Unregisters \p Id (previously inserted under \p FV). Returns
+  /// Unfiles \p Id (previously inserted with clause \p C). Returns
   /// false if the id was not present.
-  bool erase(uint32_t Id, const FeatureVector &FV);
+  bool erase(uint32_t Id, ClauseView C);
 
-  /// Visits the ids whose vector is dominated by \p FV — the only
-  /// stored clauses that can subsume the query clause. Stops early
-  /// (returning true) as soon as \p Visit returns true.
+  /// Visits every stored id filed under a literal of \p C (plus the
+  /// stored empty clauses) — a superset of C's stored subsumers. Stops
+  /// early (returning true) as soon as \p Visit returns true.
   template <typename VisitorT>
-  bool anyPotentialSubsumer(const FeatureVector &FV, VisitorT &&Visit) const {
-    return traverse<true>(0, FV, 0, Visit);
-  }
-
-  /// Visits the ids whose vector dominates \p FV — the only stored
-  /// clauses the query clause can subsume. Stops early when \p Visit
-  /// returns true.
-  template <typename VisitorT>
-  bool anyPotentialSubsumed(const FeatureVector &FV, VisitorT &&Visit) const {
-    return traverse<false>(0, FV, 0, Visit);
-  }
-
-  /// Appends the ids whose vector is dominated by \p FV.
-  void potentialSubsumers(const FeatureVector &FV,
-                          std::vector<uint32_t> &Out) const {
-    anyPotentialSubsumer(FV, [&](uint32_t Id) {
-      Out.push_back(Id);
+  bool anyCandidate(ClauseView C, VisitorT &&Visit) const {
+    for (uint32_t Id : Empty)
+      if (Visit(Id))
+        return true;
+    auto Probe = [&](std::span<const Equation> Side, bool Negative) {
+      for (const Equation &E : Side) {
+        auto It = Lists.find(key(E, Negative));
+        if (It != Lists.end())
+          for (uint32_t Id : It->second)
+            if (Visit(Id))
+              return true;
+      }
       return false;
-    });
-  }
-
-  /// Appends the ids whose vector dominates \p FV.
-  void potentialSubsumed(const FeatureVector &FV,
-                         std::vector<uint32_t> &Out) const {
-    anyPotentialSubsumed(FV, [&](uint32_t Id) {
-      Out.push_back(Id);
-      return false;
-    });
+    };
+    return Probe(C.neg(), true) || Probe(C.pos(), false);
   }
 
   /// Number of ids currently stored.
   size_t size() const { return NumEntries; }
   bool empty() const { return NumEntries == 0; }
 
-  /// Removes every entry. The node pool is kept (minus its contents)
-  /// so a cleared index reuses its allocations.
+  /// Removes every entry.
   void clear() {
-    for (Node &N : Pool) {
-      N.Kids.clear();
-      N.Rest.clear();
-      N.Ids.clear();
-    }
-    Free.clear();
-    for (uint32_t I = static_cast<uint32_t>(Pool.size()); I-- > 1;)
-      Free.push_back(I);
+    Lists.clear();
+    Empty.clear();
     NumEntries = 0;
   }
 
-  /// Features that branch in the trie; the rest are scanned linearly
-  /// at the leaves.
-  static constexpr size_t PrefixDepth = 4;
-  /// Per-entry features stored flat in the leaf arrays.
-  static constexpr size_t RestFeatures =
-      FeatureVector::NumFeatures - PrefixDepth;
-
 private:
-  /// One trie node. Interior nodes (depth < PrefixDepth) hold children
-  /// sorted by feature value — small in practice, so sorted vectors
-  /// beat node-based maps. Leaves (depth == PrefixDepth) hold the
-  /// entries as parallel arrays: Rest packs RestFeatures values per
-  /// entry back to back, so the dominance scan walks one contiguous
-  /// uint16_t stream in exactly the order ids are visited.
-  struct Node {
-    std::vector<std::pair<uint16_t, uint32_t>> Kids; ///< (value, pool idx)
-    std::vector<uint16_t> Rest; ///< RestFeatures per entry, flat.
-    std::vector<uint32_t> Ids;  ///< Parallel to Rest's entry blocks.
-  };
-
-  uint32_t allocNode();
-  void freeNode(uint32_t Idx);
-
-  /// Child of \p N with feature value \p V, or ~0u.
-  uint32_t findKid(const Node &N, uint16_t V) const;
-
-  /// Linear dominance scan over a leaf's flat feature blocks.
-  template <bool Below, typename VisitorT>
-  bool scanLeaf(const Node &N, const FeatureVector &FV,
-                VisitorT &Visit) const {
-    const uint16_t *R = N.Rest.data();
-    for (size_t E = 0, NumE = N.Ids.size(); E != NumE;
-         ++E, R += RestFeatures) {
-      bool Match = true;
-      for (size_t J = 0; J != RestFeatures; ++J) {
-        if (Below ? R[J] > FV[PrefixDepth + J]
-                  : R[J] < FV[PrefixDepth + J]) {
-          Match = false;
-          break;
-        }
-      }
-      if (Match && Visit(N.Ids[E]))
-        return true;
-    }
-    return false;
+  static uint64_t key(const Equation &E, bool Negative) {
+    return E.hash() << 1 | static_cast<uint64_t>(Negative);
   }
 
-  /// Depth-first walk of the dominated (Below = true: values <=
-  /// FV[Depth]) or dominating (values >= FV[Depth]) prefix region,
-  /// ending in a leaf scan.
-  template <bool Below, typename VisitorT>
-  bool traverse(uint32_t NodeIdx, const FeatureVector &FV, size_t Depth,
-                VisitorT &Visit) const {
-    const Node &N = Pool[NodeIdx];
-    if (Depth == PrefixDepth)
-      return scanLeaf<Below>(N, FV, Visit);
-    // Kids are sorted by value: the qualifying range is a prefix
-    // (Below) or a suffix (!Below).
-    if constexpr (Below) {
-      for (const auto &[V, Kid] : N.Kids) {
-        if (V > FV[Depth])
-          break;
-        if (traverse<Below>(Kid, FV, Depth + 1, Visit))
-          return true;
-      }
-    } else {
-      for (auto It = N.Kids.rbegin(); It != N.Kids.rend(); ++It) {
-        if (It->first < FV[Depth])
-          break;
-        if (traverse<Below>(It->second, FV, Depth + 1, Visit))
-          return true;
-      }
-    }
-    return false;
-  }
+  /// The list \p C is filed under: its minimum-key literal's, or Empty.
+  std::vector<uint32_t> &listFor(ClauseView C);
 
-  std::vector<Node> Pool;      ///< Pool[0] is the root.
-  std::vector<uint32_t> Free;  ///< Recyclable pool slots.
+  std::unordered_map<uint64_t, std::vector<uint32_t>> Lists;
+  std::vector<uint32_t> Empty; ///< Ids of stored empty clauses.
   size_t NumEntries = 0;
 };
 
@@ -215,7 +144,7 @@ public:
   /// True iff some rule's left-hand side has a root symbol hashing to
   /// the same fingerprint bit as \p S (no false negatives).
   bool mayMatchRoot(Symbol S) const {
-    return (Mask & FeatureVector::symbolBit(S)) != 0;
+    return (Mask & ClauseSignature::symbolBit(S)) != 0;
   }
 
   /// True iff a clause with symbol fingerprint \p ClauseMask can

@@ -27,10 +27,9 @@ void Saturation::clear() {
   Demod.clear();
   DemodOwned.clear();
   DemodIdx.clear();
-  FVById.clear();
-  SubIdx.clear();
+  Sigs.clear();
+  LitIdx.clear();
   NumLive = 0;
-  Candidates.clear();
   LitPool.clear();
   LitRefs.clear();
   ++OrderMemoEpoch; // O(1) memo invalidation.
@@ -63,8 +62,8 @@ Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
   if (Dup.State != DupOutcome::NoDup)
     return {Dup.Id, Dup.State == DupOutcome::Revived};
 
-  FeatureVector FV = FeatureVector::of(C);
-  if (isForwardSubsumed(C, FV)) {
+  ClauseSignature Sig = ClauseSignature::of(C);
+  if (isForwardSubsumed(C, Sig)) {
     ++Stats.SubsumedFwd;
     return {~0u, false};
   }
@@ -77,7 +76,7 @@ Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
   Fingerprints.emplace(C.fingerprint(), static_cast<uint32_t>(DB.numClauses()));
   uint32_t Id = DB.append(C, std::move(J));
   Stats.PoolEquations = DB.poolEquations();
-  registerClause(Id, FV);
+  registerClause(Id, Sig);
   Passive.push({Size, Id});
   if (Empty && !EmptyClauseId)
     EmptyClauseId = Id;
@@ -99,8 +98,8 @@ std::optional<uint32_t> Saturation::keepDerived(Clause C, Justification J) {
   }
   if (Dup.State != DupOutcome::NoDup)
     return std::nullopt;
-  FeatureVector FV = FeatureVector::of(C);
-  if (isForwardSubsumed(C, FV)) {
+  ClauseSignature Sig = ClauseSignature::of(C);
+  if (isForwardSubsumed(C, Sig)) {
     ++Stats.SubsumedFwd;
     return std::nullopt;
   }
@@ -109,7 +108,7 @@ std::optional<uint32_t> Saturation::keepDerived(Clause C, Justification J) {
   Fingerprints.emplace(C.fingerprint(), static_cast<uint32_t>(DB.numClauses()));
   uint32_t Id = DB.append(C, std::move(J));
   Stats.PoolEquations = DB.poolEquations();
-  registerClause(Id, FV);
+  registerClause(Id, Sig);
   Passive.push({Size, Id});
   ++Stats.Kept;
   if (Empty && !EmptyClauseId)
@@ -133,14 +132,14 @@ Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
       uint32_t DupId = It->second;
       if (!DB.deleted(DupId))
         return {DupOutcome::LiveDup, DupId};
-      if (isForwardSubsumed(C, FVById[DupId], DupId)) {
+      if (isForwardSubsumed(C, Sigs[DupId], DupId)) {
         ++Stats.SubsumedFwd;
         return {DupOutcome::StillSubsumed, DupId};
       }
       DB.setDeleted(DupId, false);
       if (StaleDeleted)
         --StaleDeleted;
-      registerClause(DupId, FVById[DupId]);
+      registerClause(DupId, Sigs[DupId]);
       Passive.push({DB.litCount(DupId), DupId});
       backwardSubsume(DupId);
       return {DupOutcome::Revived, DupId};
@@ -148,19 +147,18 @@ Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
   return {DupOutcome::NoDup, ~0u};
 }
 
-void Saturation::registerClause(uint32_t Id, const FeatureVector &FV) {
-  if (FVById.size() <= Id)
-    FVById.resize(Id + 1);
-  if (&FVById[Id] != &FV)
-    FVById[Id] = FV;
+void Saturation::registerClause(uint32_t Id, const ClauseSignature &Sig) {
+  if (Sigs.size() <= Id)
+    Sigs.resize(Id + 1);
+  Sigs[Id] = Sig;
   if (indexed())
-    SubIdx.insert(Id, FVById[Id]);
+    LitIdx.insert(Id, DB.view(Id));
   ++NumLive;
   if (Opts.IncrementalModel)
     orderedLiveInsert(Id);
 }
 
-bool Saturation::isForwardSubsumed(ClauseView C, const FeatureVector &FV,
+bool Saturation::isForwardSubsumed(ClauseView C, const ClauseSignature &Sig,
                                    uint32_t ExcludeId) {
   if (!Opts.Subsumption)
     return false;
@@ -171,8 +169,8 @@ bool Saturation::isForwardSubsumed(ClauseView C, const FeatureVector &FV,
       NumLive - (ExcludeId != ~0u && !DB.deleted(ExcludeId) ? 1 : 0);
   if (indexed()) {
     // Early exit at the first subsumer, mirroring the linear scan.
-    return SubIdx.anyPotentialSubsumer(FV, [&](uint32_t Id) {
-      if (Id == ExcludeId)
+    return LitIdx.anyCandidate(C, [&](uint32_t Id) {
+      if (Id == ExcludeId || !Sigs[Id].subsetOf(Sig))
         return false;
       ++Stats.SubChecks;
       return DB.view(Id).subsumes(C);
@@ -197,25 +195,14 @@ void Saturation::backwardSubsume(uint32_t NewId) {
   ++Stats.SubQueries;
   // NewId itself is live and registered by now; a scan skips it.
   Stats.SubScanBaseline += NumLive - 1;
-  if (indexed()) {
-    // Collect first: deleteClause edits the trie, so deletions must
-    // not happen mid-traversal.
-    Candidates.clear();
-    SubIdx.potentialSubsumed(FVById[NewId], Candidates);
-    for (uint32_t Id : Candidates) {
-      if (Id == NewId)
-        continue;
-      ++Stats.SubChecks;
-      if (C.subsumes(DB.view(Id))) {
-        deleteClause(Id);
-        ++Stats.SubsumedBwd;
-      }
-    }
-    return;
-  }
+  // Every clause C subsumes carries a superset of C's signature bits,
+  // so the indexed scan tests signatures before equations.
+  const ClauseSignature Sig = Sigs[NewId];
+  const bool Filter = indexed();
   const uint32_t N = static_cast<uint32_t>(DB.numClauses());
   for (uint32_t Id = 0; Id != N; ++Id) {
-    if (DB.deleted(Id) || Id == NewId)
+    if ((Filter && !Sig.subsetOf(Sigs[Id])) || DB.deleted(Id) ||
+        Id == NewId)
       continue;
     ++Stats.SubChecks;
     if (C.subsumes(DB.view(Id))) {
@@ -251,11 +238,11 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
   // unit and send the results back through the queue. A clause whose
   // symbol fingerprint misses L's root symbol cannot contain L and is
   // skipped without walking its terms.
-  const uint64_t LhsBit = FeatureVector::symbolBit(L->symbol());
+  const uint64_t LhsBit = ClauseSignature::symbolBit(L->symbol());
   for (uint32_t ActId : Active) {
     if (ActId == Id || DB.deleted(ActId))
       continue;
-    if (!(FVById[ActId].symbolMask() & LhsBit))
+    if (!(Sigs[ActId].Symbols & LhsBit))
       continue;
     auto Rewritten = demodClause(DB.view(ActId), ActId);
     if (!Rewritten)
@@ -304,8 +291,7 @@ Saturation::demodClause(ClauseView C, uint32_t SelfId) {
   // The clause can only be rewritten if some demodulator's left-hand
   // side occurs inside it, which requires the root-symbol fingerprints
   // to intersect.
-  if (SelfId < FVById.size() &&
-      !DemodIdx.mayRewrite(FVById[SelfId].symbolMask()))
+  if (SelfId < Sigs.size() && !DemodIdx.mayRewrite(Sigs[SelfId].Symbols))
     return std::nullopt;
   std::vector<uint32_t> Used;
   bool Changed = false;
@@ -339,7 +325,7 @@ void Saturation::deleteClause(uint32_t Id) {
   --NumLive;
   ++StaleDeleted;
   if (indexed())
-    SubIdx.erase(Id, FVById[Id]);
+    LitIdx.erase(Id, DB.view(Id));
   if (Opts.IncrementalModel)
     orderedLiveErase(Id);
   auto It = DemodOwned.find(Id);
@@ -655,7 +641,7 @@ void Saturation::stepGivenClause() {
   // Another live clause may have arrived since this one was queued.
   // (Keep-time backward subsumption deletes most such clauses already;
   // this is a cheap indexed safety net.)
-  if (isForwardSubsumed(C, FVById[GivenId], GivenId)) {
+  if (isForwardSubsumed(C, Sigs[GivenId], GivenId)) {
     deleteClause(GivenId);
     ++Stats.SubsumedFwd;
     return;

@@ -49,10 +49,10 @@ enum class SatResult {
 struct SaturationOptions {
   bool Subsumption = true;  ///< Forward/backward subsumption.
   bool Demodulation = true; ///< Rewriting by unit equations.
-  /// Answer subsumption queries through the feature-vector index
-  /// instead of scanning the clause database. Verdict-neutral: both
-  /// paths find the same subsumers/subsumed, the index merely prunes
-  /// the candidates that are tested.
+  /// Answer subsumption queries through the ground-literal index and
+  /// clause signatures instead of scanning the clause database.
+  /// Verdict-neutral: both paths find the same subsumers/subsumed, the
+  /// index merely prunes the candidates that are tested.
   bool IndexedSubsumption = true;
   /// Make the model attempts of saturateModelGuided() incremental:
   /// the live clauses are kept persistently in Bachmair-Ganzinger
@@ -259,18 +259,18 @@ private:
   demodClause(ClauseView C, uint32_t SelfId);
 
   /// True iff some live clause other than \p ExcludeId subsumes \p C.
-  /// \p FV must be C's feature vector. Uses the index when enabled.
-  bool isForwardSubsumed(ClauseView C, const FeatureVector &FV,
+  /// \p Sig must be C's signature. Uses the index when enabled.
+  bool isForwardSubsumed(ClauseView C, const ClauseSignature &Sig,
                          uint32_t ExcludeId = ~0u);
 
   /// Deletes every live clause the newly kept clause \p NewId
   /// subsumes (backward subsumption).
   void backwardSubsume(uint32_t NewId);
 
-  /// Registers a clause that just became live: stores its feature
-  /// vector, adds it to the subsumption index, and bumps the live
-  /// count. Called on first keep and on revival.
-  void registerClause(uint32_t Id, const FeatureVector &FV);
+  /// Registers a clause that just became live: stores its signature,
+  /// adds it to the literal index, and bumps the live count. Called on
+  /// first keep and on revival.
+  void registerClause(uint32_t Id, const ClauseSignature &Sig);
 
   /// Disposition of a clause that matches a stored duplicate.
   struct DupOutcome {
@@ -287,7 +287,7 @@ private:
   /// Shared duplicate/revival handling for addInput and keepDerived.
   DupOutcome handleDuplicate(const Clause &C);
 
-  /// Whether subsumption queries go through the feature-vector index.
+  /// Whether subsumption queries go through the literal index.
   bool indexed() const {
     return Opts.Subsumption && Opts.IndexedSubsumption;
   }
@@ -362,18 +362,17 @@ private:
   std::unordered_map<uint32_t, const Term *> DemodOwned;
   /// Root-symbol fingerprint of the demodulator left-hand sides;
   /// filters rule lookups per subterm and whole clauses per
-  /// FeatureVector::symbolMask.
+  /// ClauseSignature::Symbols.
   DemodIndex DemodIdx;
-  /// Feature vector of every clause ever kept, indexed by clause id
+  /// Signature of every clause ever kept, indexed by clause id
   /// (persists across deletion so revival can re-index cheaply).
-  std::vector<FeatureVector> FVById;
-  /// Feature-vector trie over the *live* clauses (when indexed()).
-  SubsumptionIndex SubIdx;
+  std::vector<ClauseSignature> Sigs;
+  /// The *live* clauses, each under its minimum-key literal (when
+  /// indexed()).
+  LiteralIndex LitIdx;
   /// Live (non-deleted) clause count, for the scan-baseline stats and
   /// the linear fallback.
   size_t NumLive = 0;
-  /// Scratch buffer for index retrievals.
-  std::vector<uint32_t> Candidates;
   /// Interned descending-sorted literal lists, one contiguous pool for
   /// every clause (clauses are immutable, and distinct live clauses
   /// have distinct lists, so the clause id doubles as the list id):

@@ -91,7 +91,7 @@ TEST(PresolveDifferentialTest, AgreesWithProverOnSymexecVCs) {
   SymbolTable Syms;
   TermTable Terms(Syms);
   core::SlpProver Prover(Terms);
-  for (const engine::ProofTask &T : Vcs.Tasks) {
+  for (const core::ProofTask &T : Vcs.Tasks) {
     sl::ParseResult P = sl::parseEntailment(Terms, T.Text);
     ASSERT_TRUE(P.ok()) << T.Name;
     checkAgainstProver(Terms, Prover, *P.Value, T.Name.c_str());

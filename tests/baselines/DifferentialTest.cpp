@@ -118,7 +118,7 @@ TEST_F(DifferentialTest, Table3VcCorpusAgrees) {
   engine::VcTaskSet Vcs = engine::symexecVcTasks();
   ASSERT_TRUE(Vcs.ok());
   std::vector<std::string> Queries;
-  for (const engine::ProofTask &T : Vcs.Tasks)
+  for (const core::ProofTask &T : Vcs.Tasks)
     Queries.push_back(T.Text);
   ASSERT_EQ(Queries.size(), 46u);
   crossCheckAll(Queries, /*BaselineFuel=*/5'000'000);
@@ -130,7 +130,7 @@ TEST_F(DifferentialTest, Table3VcCorpusAgrees) {
 
 namespace {
 
-void expectPortfolioMatchesSlp(const std::vector<engine::ProofTask> &Tasks,
+void expectPortfolioMatchesSlp(const std::vector<core::ProofTask> &Tasks,
                                unsigned Jobs) {
   engine::BatchOptions SlpOpts;
   SlpOpts.Jobs = Jobs;
@@ -150,8 +150,8 @@ void expectPortfolioMatchesSlp(const std::vector<engine::ProofTask> &Tasks,
   }
 }
 
-std::vector<engine::ProofTask> asTasks(const std::vector<std::string> &Qs) {
-  std::vector<engine::ProofTask> Tasks;
+std::vector<core::ProofTask> asTasks(const std::vector<std::string> &Qs) {
+  std::vector<core::ProofTask> Tasks;
   for (const std::string &Q : Qs)
     Tasks.push_back({Q, "", 0});
   return Tasks;

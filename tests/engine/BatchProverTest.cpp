@@ -14,7 +14,6 @@
 
 #include "engine/BatchProver.h"
 #include "engine/ThreadPool.h"
-#include "engine/WorkQueue.h"
 #include "gen/RandomEntailments.h"
 #include "sl/Parser.h"
 
@@ -178,23 +177,6 @@ TEST(BatchProver, SplitCorpusSkipsBlanksAndComments) {
   ASSERT_EQ(Lines.size(), 2u);
   EXPECT_EQ(Lines[0], "next(x, y) |- lseg(x, y)");
   EXPECT_EQ(Lines[1], "lseg(a, b) |- lseg(a, b)");
-}
-
-TEST(WorkQueue, HandsOutEachIndexExactlyOnce) {
-  WorkQueue Queue(1000);
-  std::vector<std::atomic<int>> Claimed(1000);
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != 4; ++T)
-    Threads.emplace_back([&] {
-      size_t I;
-      while (Queue.pop(I))
-        Claimed[I].fetch_add(1);
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  for (int I = 0; I != 1000; ++I)
-    EXPECT_EQ(Claimed[I].load(), 1) << "index " << I;
-  EXPECT_EQ(Queue.remaining(), 0u);
 }
 
 TEST(ThreadPool, RunsAllSubmittedTasks) {

@@ -30,7 +30,7 @@ TEST(VcTasks, CoversTheWholeCorpusGrouped) {
     Sum += Vcs.numTasksFor(G);
   }
   EXPECT_EQ(Sum, Vcs.Tasks.size());
-  for (const ProofTask &T : Vcs.Tasks) {
+  for (const core::ProofTask &T : Vcs.Tasks) {
     EXPECT_LT(T.Group, Vcs.Programs.size());
     EXPECT_FALSE(T.Name.empty());
     EXPECT_FALSE(T.Text.empty());

@@ -4,12 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The clause-indexing subsystem: feature-vector monotonicity under
-/// subsumption, trie retrieval completeness against brute force, index
-/// maintenance across delete/revive, the demodulator fingerprint, and
-/// the end-to-end guarantee that indexed and linear subsumption
-/// produce identical verdicts on the regression corpus and the
-/// Table 1-3 random/VC distributions.
+/// The clause-indexing subsystem: signature monotonicity under
+/// subsumption (bloom collisions and non-constant terms included),
+/// literal-index retrieval completeness against brute force, index
+/// maintenance across insert/erase/revive churn, the demodulator
+/// fingerprint, and the end-to-end guarantee that indexed and linear
+/// subsumption run the same search (verdicts, fuel, kept clauses and
+/// deletions) on the regression corpus and the Table 1-3
+/// random/VC distributions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 using namespace slp;
 using namespace slp::sup;
@@ -41,10 +44,19 @@ protected:
 
   const Term *T(const std::string &N) { return Terms.constant(N); }
 
-  /// A random clause over a small constant pool: up to three negative
-  /// and three positive equations.
+  /// f(\p A) for the unary function symbol f.
+  const Term *F(const Term *A) {
+    return Terms.make(Symbols.intern("f", 1), std::array<const Term *, 1>{A});
+  }
+
+  /// A random clause over a small term pool — six constants and their
+  /// images under f — with up to three negative and three positive
+  /// equations.
   Clause randomClause(SplitMix64 &Rng) {
-    auto RandTerm = [&] { return T("c" + std::to_string(Rng.next() % 6)); };
+    auto RandTerm = [&] {
+      const Term *C = T("c" + std::to_string(Rng.next() % 6));
+      return Rng.next() % 4 ? C : F(C);
+    };
     std::vector<Equation> Neg, Pos;
     for (uint64_t I = 0, N = Rng.next() % 4; I != N; ++I)
       Neg.emplace_back(RandTerm(), RandTerm());
@@ -52,142 +64,208 @@ protected:
       Pos.emplace_back(RandTerm(), RandTerm());
     return Clause(std::move(Neg), std::move(Pos));
   }
+
+  /// The stored clauses LiteralIndex retrieval leaves after the
+  /// signature filter and the exact test — what forward subsumption
+  /// sees — sorted. Also checks every visited id is stored (live).
+  std::vector<uint32_t> indexedSubsumers(const LiteralIndex &Idx,
+                                         const std::vector<Clause> &Cs,
+                                         const std::vector<bool> &Live,
+                                         const Clause &Q) {
+    std::vector<uint32_t> Got;
+    const ClauseSignature QSig = ClauseSignature::of(Q);
+    Idx.anyCandidate(Q, [&](uint32_t Id) {
+      EXPECT_TRUE(Live[Id]) << "retrieved erased id " << Id;
+      if (ClauseSignature::of(Cs[Id]).subsetOf(QSig) && Cs[Id].subsumes(Q))
+        Got.push_back(Id);
+      return false;
+    });
+    std::sort(Got.begin(), Got.end());
+    Got.erase(std::unique(Got.begin(), Got.end()), Got.end());
+    return Got;
+  }
+
+  /// Brute force: every live clause that subsumes \p Q, sorted.
+  static std::vector<uint32_t> bruteSubsumers(const std::vector<Clause> &Cs,
+                                              const std::vector<bool> &Live,
+                                              const Clause &Q) {
+    std::vector<uint32_t> Want;
+    for (uint32_t I = 0; I != Cs.size(); ++I)
+      if (Live[I] && Cs[I].subsumes(Q))
+        Want.push_back(I);
+    return Want;
+  }
 };
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// FeatureVector
+// ClauseSignature
 //===----------------------------------------------------------------------===//
 
-TEST_F(IndexTest, FeatureVectorMonotoneUnderSubsumption) {
+TEST_F(IndexTest, SignatureMonotoneUnderSubsumption) {
   SplitMix64 Rng(11);
   std::vector<Clause> Cs;
-  for (int I = 0; I != 60; ++I)
+  for (int I = 0; I != 80; ++I)
     Cs.push_back(randomClause(Rng));
+  unsigned Pairs = 0;
   for (const Clause &A : Cs)
     for (const Clause &B : Cs)
       if (A.subsumes(B)) {
-        EXPECT_TRUE(FeatureVector::of(A).dominatedBy(FeatureVector::of(B)))
+        ++Pairs;
+        EXPECT_TRUE(ClauseSignature::of(A).subsetOf(ClauseSignature::of(B)))
             << A.str(Terms) << " subsumes " << B.str(Terms)
-            << " but its features are not dominated";
+            << " but its signature is not a subset";
       }
+  EXPECT_GT(Pairs, Cs.size()) << "corpus has no proper subsumptions";
 }
 
-TEST_F(IndexTest, FeatureVectorDepthAndCounts) {
-  // -> f(a) ' b has one positive literal of depth 2 and no negatives.
+TEST_F(IndexTest, SignatureCoversNonConstantTerms) {
+  // The unit -> f(a) ' b subsumes a wider clause over nested f terms;
+  // its signature stays inside the wider one's, and each equation bit
+  // lands on the polarity the equation occurs in.
   const Term *A = T("a");
   const Term *B = T("b");
-  Symbol F = Symbols.intern("f", 1);
-  const Term *FA = Terms.make(F, std::array<const Term *, 1>{A});
-  FeatureVector FV =
-      FeatureVector::of(Clause({}, {Equation(FA, B)}));
-  EXPECT_EQ(FV[0], 0u); // #neg
-  EXPECT_EQ(FV[1], 1u); // #pos
-  EXPECT_EQ(FV[2], 0u); // neg depth
-  EXPECT_EQ(FV[3], 2u); // pos depth
+  Equation FAB(F(A), B);
+  Clause Unit({}, {FAB});
+  Clause Wide({Equation(F(B), A)}, {FAB, Equation(F(F(A)), A)});
+  ASSERT_TRUE(Unit.subsumes(Wide));
+  ClauseSignature SU = ClauseSignature::of(Unit);
+  ClauseSignature SW = ClauseSignature::of(Wide);
+  EXPECT_TRUE(SU.subsetOf(SW));
+  EXPECT_FALSE(SW.subsetOf(SU));
+  EXPECT_EQ(SU.Neg, 0u);
+  EXPECT_EQ(SU.Pos, ClauseSignature::equationBit(FAB));
+  EXPECT_EQ(SW.Neg, ClauseSignature::equationBit(Equation(F(B), A)));
+
+  // The same equation on the other side is not a subsumer.
+  Clause NegUnit({FAB}, {});
+  EXPECT_FALSE(NegUnit.subsumes(Wide));
+  EXPECT_FALSE(ClauseSignature::of(NegUnit).subsetOf(SW));
 }
 
-TEST_F(IndexTest, FeatureVectorSymbolMaskCoversSubterms) {
+TEST_F(IndexTest, SignatureSymbolMaskCoversSubterms) {
   const Term *A = T("a");
   const Term *B = T("b");
-  Symbol F = Symbols.intern("f", 1);
-  const Term *FA = Terms.make(F, std::array<const Term *, 1>{A});
-  FeatureVector FV = FeatureVector::of(Clause({}, {Equation(FA, B)}));
-  EXPECT_NE(FV.symbolMask() & FeatureVector::symbolBit(F), 0u);
-  EXPECT_NE(FV.symbolMask() & FeatureVector::symbolBit(A->symbol()), 0u);
-  EXPECT_NE(FV.symbolMask() & FeatureVector::symbolBit(B->symbol()), 0u);
+  Symbol FSym = Symbols.intern("f", 1);
+  ClauseSignature S = ClauseSignature::of(Clause({}, {Equation(F(A), B)}));
+  EXPECT_NE(S.Symbols & ClauseSignature::symbolBit(FSym), 0u);
+  EXPECT_NE(S.Symbols & ClauseSignature::symbolBit(A->symbol()), 0u);
+  EXPECT_NE(S.Symbols & ClauseSignature::symbolBit(B->symbol()), 0u);
+}
+
+TEST_F(IndexTest, SignatureBloomCollisionFallsThroughToExactCheck) {
+  // Two distinct equations whose bloom bits collide: the signature
+  // filter must let the pair through, and the exact test must then
+  // keep both clauses (neither subsumes the other).
+  std::vector<Equation> Seen;
+  std::optional<std::pair<Equation, Equation>> Collision;
+  for (int I = 0; I != 40 && !Collision; ++I)
+    for (int J = I + 1; J != 40 && !Collision; ++J) {
+      Equation E(T("k" + std::to_string(I)), T("k" + std::to_string(J)));
+      for (const Equation &O : Seen)
+        if (ClauseSignature::equationBit(O) == ClauseSignature::equationBit(E))
+          Collision.emplace(O, E);
+      Seen.push_back(E);
+    }
+  ASSERT_TRUE(Collision) << "no bloom collision among 780 equations";
+  auto [E1, E2] = *Collision;
+  ASSERT_NE(E1, E2);
+
+  // The wide clause carries E2 and E1's constants but not E1 itself,
+  // so the unit -> E1 passes the whole signature test against it.
+  KBO Ord;
+  Saturation Sat(Terms, Ord);
+  const Term *Pad = T("pad");
+  auto Wide = Sat.addInput(
+      {}, {E2, Equation(E1.lhs(), Pad), Equation(E1.rhs(), Pad)});
+  ASSERT_TRUE(Wide.New);
+  EXPECT_TRUE(ClauseSignature::of(Clause({}, {E1}))
+                  .subsetOf(ClauseSignature::of(Sat.clause(Wide.Id))));
+
+  uint64_t Checks = Sat.stats().SubChecks;
+  auto Unit = Sat.addInput({}, {E1});
+  ASSERT_TRUE(Unit.New);
+  EXPECT_GT(Sat.stats().SubChecks, Checks)
+      << "the colliding pair never reached the exact test";
+  EXPECT_FALSE(Sat.deleted(Wide.Id)) << "collision mistaken for subsumption";
+  EXPECT_EQ(Sat.stats().SubsumedBwd, 0u);
+
+  // The real subsumer still deletes it.
+  auto Real = Sat.addInput({}, {E2});
+  ASSERT_TRUE(Real.New);
+  EXPECT_TRUE(Sat.deleted(Wide.Id));
+  EXPECT_FALSE(Sat.deleted(Unit.Id));
+  EXPECT_EQ(Sat.stats().SubsumedBwd, 1u);
 }
 
 //===----------------------------------------------------------------------===//
-// SubsumptionIndex
+// LiteralIndex
 //===----------------------------------------------------------------------===//
 
-TEST_F(IndexTest, TrieRetrievalMatchesBruteForce) {
+TEST_F(IndexTest, IndexRetrievalMatchesBruteForce) {
   SplitMix64 Rng(23);
-  std::vector<FeatureVector> FVs;
-  SubsumptionIndex Idx;
+  std::vector<Clause> Cs;
+  LiteralIndex Idx;
   for (uint32_t I = 0; I != 80; ++I) {
-    FVs.push_back(FeatureVector::of(randomClause(Rng)));
-    Idx.insert(I, FVs.back());
+    Cs.push_back(randomClause(Rng));
+    Idx.insert(I, Cs.back());
   }
   EXPECT_EQ(Idx.size(), 80u);
+  std::vector<bool> Live(Cs.size(), true);
 
-  std::vector<uint32_t> Got, Want;
-  for (uint32_t Q = 0; Q != FVs.size(); ++Q) {
-    Got.clear();
-    Idx.potentialSubsumers(FVs[Q], Got);
-    Want.clear();
-    for (uint32_t I = 0; I != FVs.size(); ++I)
-      if (FVs[I].dominatedBy(FVs[Q]))
-        Want.push_back(I);
-    std::sort(Got.begin(), Got.end());
-    EXPECT_EQ(Got, Want) << "subsumer candidates for clause " << Q;
-
-    Got.clear();
-    Idx.potentialSubsumed(FVs[Q], Got);
-    Want.clear();
-    for (uint32_t I = 0; I != FVs.size(); ++I)
-      if (FVs[Q].dominatedBy(FVs[I]))
-        Want.push_back(I);
-    std::sort(Got.begin(), Got.end());
-    EXPECT_EQ(Got, Want) << "subsumed candidates for clause " << Q;
+  size_t Visited = 0;
+  for (uint32_t Q = 0; Q != Cs.size(); ++Q) {
+    EXPECT_EQ(indexedSubsumers(Idx, Cs, Live, Cs[Q]),
+              bruteSubsumers(Cs, Live, Cs[Q]))
+        << "subsumers of clause " << Q;
+    Idx.anyCandidate(Cs[Q], [&](uint32_t) {
+      ++Visited;
+      return false;
+    });
   }
+  EXPECT_LT(Visited, Cs.size() * Cs.size()) << "index pruned nothing";
 }
 
-TEST_F(IndexTest, TrieChurnSweepMatchesBruteForce) {
-  // Insert/erase churn over the shallow trie's pooled leaf arrays:
-  // erasing swap-removes an entry's flat feature block, which must
-  // never corrupt its neighbours' blocks. Several toggle rounds with a
-  // full brute-force cross-check per round.
+TEST_F(IndexTest, IndexChurnMatchesBruteForce) {
+  // Insert/erase/revive churn: erasing swap-removes an id from its
+  // literal list, which must never lose or duplicate a neighbour.
+  // Several toggle rounds with a full brute-force cross-check, on a
+  // stream that also repeats clauses (distinct ids, equal contents)
+  // and includes the empty clause.
   SplitMix64 Rng(77);
-  std::vector<FeatureVector> FVs;
-  std::vector<bool> Live;
-  SubsumptionIndex Idx;
+  std::vector<Clause> Cs;
+  LiteralIndex Idx;
   for (uint32_t I = 0; I != 120; ++I) {
-    FVs.push_back(FeatureVector::of(randomClause(Rng)));
-    Live.push_back(true);
-    Idx.insert(I, FVs.back());
+    Cs.push_back(I % 17 == 5 ? Cs[I / 2] : randomClause(Rng));
+    Idx.insert(I, Cs.back());
   }
+  Cs.push_back(Clause({}, {}));
+  Idx.insert(120, Cs.back());
+  std::vector<bool> Live(Cs.size(), true);
   for (int Round = 0; Round != 6; ++Round) {
-    for (uint32_t I = 0; I != FVs.size(); ++I) {
+    for (uint32_t I = 0; I != Cs.size(); ++I) {
       if (Rng.next() % 3)
         continue;
       if (Live[I])
-        EXPECT_TRUE(Idx.erase(I, FVs[I]));
+        EXPECT_TRUE(Idx.erase(I, Cs[I]));
       else
-        Idx.insert(I, FVs[I]);
+        Idx.insert(I, Cs[I]);
       Live[I] = !Live[I];
     }
-    std::vector<uint32_t> Got, Want;
-    for (uint32_t Q = 0; Q != FVs.size(); ++Q) {
-      Got.clear();
-      Idx.potentialSubsumers(FVs[Q], Got);
-      Want.clear();
-      for (uint32_t I = 0; I != FVs.size(); ++I)
-        if (Live[I] && FVs[I].dominatedBy(FVs[Q]))
-          Want.push_back(I);
-      std::sort(Got.begin(), Got.end());
-      EXPECT_EQ(Got, Want) << "round " << Round << " subsumers of " << Q;
-
-      Got.clear();
-      Idx.potentialSubsumed(FVs[Q], Got);
-      Want.clear();
-      for (uint32_t I = 0; I != FVs.size(); ++I)
-        if (Live[I] && FVs[Q].dominatedBy(FVs[I]))
-          Want.push_back(I);
-      std::sort(Got.begin(), Got.end());
-      EXPECT_EQ(Got, Want) << "round " << Round << " subsumed of " << Q;
-    }
+    EXPECT_EQ(Idx.size(),
+              static_cast<size_t>(std::count(Live.begin(), Live.end(), true)));
+    for (uint32_t Q = 0; Q != Cs.size(); ++Q)
+      EXPECT_EQ(indexedSubsumers(Idx, Cs, Live, Cs[Q]),
+                bruteSubsumers(Cs, Live, Cs[Q]))
+          << "round " << Round << " subsumers of " << Q;
   }
 }
 
-TEST_F(IndexTest, TrieOverPooledClauseViewsMatchesBruteForce) {
-  // Featurize through the saturation engine's flat clause arena
-  // (ClauseView spans) rather than standalone Clauses, and cross-check
-  // trie retrieval over those pooled vectors against brute force. This
-  // pins FeatureVector::of(ClauseView) to the Clause overload path and
-  // the trie to the SoA storage it indexes in production.
+TEST_F(IndexTest, IndexOverPooledClauseViewsMatchesBruteForce) {
+  // Signatures and index keys computed through the saturation engine's
+  // flat clause arena (ClauseView spans) must match the owning Clause
+  // path, and retrieval over the pooled views must match brute force.
   KBO Ord;
   Saturation Sat(Terms, Ord);
   SplitMix64 Rng(31);
@@ -196,54 +274,58 @@ TEST_F(IndexTest, TrieOverPooledClauseViewsMatchesBruteForce) {
     Sat.addInput(std::vector<Equation>(C.neg()),
                  std::vector<Equation>(C.pos()));
   }
-  SubsumptionIndex Idx;
-  std::vector<FeatureVector> FVs;
-  std::vector<uint32_t> IdxIds;
+  LiteralIndex Idx;
+  std::vector<Clause> Cs;
   for (uint32_t Id = 0; Id != Sat.numClauses(); ++Id) {
     ClauseView V = Sat.clause(Id);
-    FeatureVector FromView = FeatureVector::of(V);
-    FeatureVector FromCopy = FeatureVector::of(V.materialize());
-    ASSERT_TRUE(FromView == FromCopy)
-        << "view and materialized features diverge for clause " << Id;
-    FVs.push_back(FromView);
-    IdxIds.push_back(Id);
-    Idx.insert(Id, FromView);
+    Cs.push_back(V.materialize());
+    ClauseSignature FromView = ClauseSignature::of(V);
+    ClauseSignature FromCopy = ClauseSignature::of(Cs.back());
+    ASSERT_TRUE(FromView.subsetOf(FromCopy) && FromCopy.subsetOf(FromView))
+        << "view and materialized signatures diverge for clause " << Id;
+    Idx.insert(Id, V);
   }
-  std::vector<uint32_t> Got, Want;
-  for (size_t Q = 0; Q != FVs.size(); ++Q) {
-    Got.clear();
-    Idx.potentialSubsumers(FVs[Q], Got);
-    Want.clear();
-    for (size_t I = 0; I != FVs.size(); ++I)
-      if (FVs[I].dominatedBy(FVs[Q]))
-        Want.push_back(IdxIds[I]);
-    std::sort(Got.begin(), Got.end());
-    EXPECT_EQ(Got, Want) << "pooled subsumer candidates for " << Q;
+  std::vector<bool> Live(Cs.size(), true);
+  for (uint32_t Q = 0; Q != Cs.size(); ++Q) {
+    // Erase through the materialized copy: both paths key alike.
+    ASSERT_TRUE(Idx.erase(Q, Cs[Q]));
+    Live[Q] = false;
+    EXPECT_EQ(indexedSubsumers(Idx, Cs, Live, Cs[Q]),
+              bruteSubsumers(Cs, Live, Cs[Q]))
+        << "pooled subsumers of " << Q;
+    Idx.insert(Q, Sat.clause(Q));
+    Live[Q] = true;
   }
 }
 
-TEST_F(IndexTest, TrieEraseAndReinsert) {
+TEST_F(IndexTest, IndexEraseAndReinsert) {
   SplitMix64 Rng(5);
-  FeatureVector FV1 = FeatureVector::of(randomClause(Rng));
-  FeatureVector FV2 = FeatureVector::of(randomClause(Rng));
-  SubsumptionIndex Idx;
-  Idx.insert(1, FV1);
-  Idx.insert(2, FV2);
-  EXPECT_TRUE(Idx.erase(1, FV1));
-  EXPECT_FALSE(Idx.erase(1, FV1)) << "second erase must report absence";
+  Clause C1 = randomClause(Rng);
+  Clause C2 = randomClause(Rng);
+  LiteralIndex Idx;
+  Idx.insert(1, C1);
+  Idx.insert(2, C2);
+  EXPECT_TRUE(Idx.erase(1, C1));
+  EXPECT_FALSE(Idx.erase(1, C1)) << "second erase must report absence";
   EXPECT_EQ(Idx.size(), 1u);
 
-  std::vector<uint32_t> Got;
-  Idx.potentialSubsumers(FV1, Got);
-  EXPECT_EQ(std::count(Got.begin(), Got.end(), 1u), 0)
-      << "erased id must not be retrievable";
+  auto Count = [&](uint32_t Want) {
+    unsigned N = 0;
+    Idx.anyCandidate(C1, [&](uint32_t Id) {
+      N += Id == Want;
+      return false;
+    });
+    return N;
+  };
+  EXPECT_EQ(Count(1), 0u) << "erased id must not be retrievable";
 
-  // Revival: the same id re-enters under the same vector.
-  Idx.insert(1, FV1);
-  Got.clear();
-  Idx.potentialSubsumers(FV1, Got);
-  EXPECT_EQ(std::count(Got.begin(), Got.end(), 1u), 1);
+  // Revival: the same id re-enters under the same clause.
+  Idx.insert(1, C1);
+  EXPECT_EQ(Count(1), 1u);
   EXPECT_EQ(Idx.size(), 2u);
+  Idx.clear();
+  EXPECT_TRUE(Idx.empty());
+  EXPECT_EQ(Count(1), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -260,7 +342,7 @@ TEST_F(IndexTest, DemodIndexTracksRootSymbols) {
   Idx.addLhs(A);
   Idx.addLhs(A);
   EXPECT_TRUE(Idx.mayMatchRoot(A));
-  EXPECT_TRUE(Idx.mayRewrite(FeatureVector::symbolBit(A)));
+  EXPECT_TRUE(Idx.mayRewrite(ClauseSignature::symbolBit(A)));
 
   // Reference counting: the bit survives one of two removals.
   Idx.removeLhs(A);
@@ -268,7 +350,7 @@ TEST_F(IndexTest, DemodIndexTracksRootSymbols) {
   Idx.removeLhs(A);
   EXPECT_FALSE(Idx.mayMatchRoot(A));
   EXPECT_TRUE(Idx.empty());
-  EXPECT_FALSE(Idx.mayRewrite(FeatureVector::symbolBit(B)));
+  EXPECT_FALSE(Idx.mayRewrite(ClauseSignature::symbolBit(B)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -370,8 +452,9 @@ TEST_F(SatIndexTest, IndexedAndLinearSaturationAgree) {
 
 namespace {
 
-/// Proves \p E under both subsumption implementations and checks the
-/// verdicts match; returns the (shared) verdict.
+/// Proves \p E under both subsumption implementations and checks they
+/// run the same search: same verdict, fuel, kept and final clauses,
+/// and forward/backward deletions. Returns the (shared) verdict.
 core::Verdict proveBothWays(TermTable &Terms, const sl::Entailment &E,
                             const std::string &Label) {
   core::ProverOptions Indexed;
@@ -382,6 +465,15 @@ core::Verdict proveBothWays(TermTable &Terms, const sl::Entailment &E,
   core::ProveResult RI = PI.prove(E);
   core::ProveResult RL = PL.prove(E);
   EXPECT_EQ(RI.V, RL.V) << "verdict diverges on " << Label;
+  EXPECT_EQ(RI.Stats.FuelUsed, RL.Stats.FuelUsed) << "fuel on " << Label;
+  EXPECT_EQ(RI.Stats.PureClauses, RL.Stats.PureClauses)
+      << "clauses on " << Label;
+  EXPECT_EQ(PI.saturation().stats().Kept, PL.saturation().stats().Kept)
+      << "kept on " << Label;
+  EXPECT_EQ(RI.Stats.SubsumedFwd, RL.Stats.SubsumedFwd)
+      << "forward deletions on " << Label;
+  EXPECT_EQ(RI.Stats.SubsumedBwd, RL.Stats.SubsumedBwd)
+      << "backward deletions on " << Label;
   return RI.V;
 }
 

@@ -32,7 +32,7 @@
 ///                     and arena bytes reclaimed, slabs recycled), and
 ///                     the per-backend win/loss/time breakdown
 ///     --no-indexed-subsumption
-///                     disable the feature-vector subsumption index
+///                     disable the ground-literal subsumption index
 ///                     (verdicts are identical; for measurement)
 ///     --no-incremental-model
 ///                     rebuild every candidate model from scratch

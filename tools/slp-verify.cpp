@@ -28,7 +28,7 @@
 ///                     runs ahead of the cache lookup (verdicts are
 ///                     identical; for measurement)
 ///     --no-indexed-subsumption
-///                     disable the feature-vector subsumption index
+///                     disable the ground-literal subsumption index
 ///     --no-incremental-model
 ///                     rebuild candidate models from scratch per
 ///                     attempt instead of replaying from the last
@@ -140,7 +140,7 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  std::vector<engine::ProofTask> Tasks;
+  std::vector<core::ProofTask> Tasks;
   if (Program.empty()) {
     Tasks = std::move(Vcs.Tasks);
   } else {
@@ -153,7 +153,7 @@ int main(int argc, char **argv) {
                 << "' (use --list)\n";
       return 2;
     }
-    for (engine::ProofTask &T : Vcs.Tasks)
+    for (core::ProofTask &T : Vcs.Tasks)
       if (T.Group == Group)
         Tasks.push_back(std::move(T));
   }

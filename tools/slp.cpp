@@ -24,10 +24,15 @@
 ///                   unspecified, plain verdict runs default to all
 ///                   cores; the proof/model/stats output modes need
 ///                   the in-process saturation objects and fall back
-///                   to the sequential single-worker path. Unlike the
-///                   sequential path, which stops at the first bad
-///                   line, the engine path reports parse errors per
-///                   query on stdout, like slp-batch
+///                   to the sequential single-worker path. Both paths
+///                   prove each line on its own, independent of its
+///                   neighbours, but the engine proves the line's
+///                   canonical (alpha-renamed) form, so the searches
+///                   differ and a query near its --fuel budget can be
+///                   decided on one path and unknown on the other.
+///                   Unlike the sequential path, which stops at the
+///                   first bad line, the engine path reports parse
+///                   errors per query on stdout, like slp-batch
 ///     --no-presolve disable the polynomial static pre-solver
 ///                   (verdicts are identical; for measurement). The
 ///                   sequential path also skips it automatically when
@@ -35,7 +40,7 @@
 ///                   saturation objects
 ///     --no-indexed-subsumption
 ///                   answer subsumption queries by scanning the clause
-///                   database instead of the feature-vector index
+///                   database instead of the ground-literal index
 ///                   (verdicts are identical; for measurement)
 ///     --no-incremental-model
 ///                   rebuild every candidate model from scratch
@@ -59,6 +64,7 @@
 #include "core/Dot.h"
 #include "core/ProofTree.h"
 #include "core/Prover.h"
+#include "core/ProverSession.h"
 #include "engine/BatchProver.h"
 #include "engine/Portfolio.h"
 #include "sl/Parser.h"
@@ -179,8 +185,9 @@ int main(int argc, char **argv) {
     }
   } else {
     // Unspecified --jobs: plain verdict runs use every core through
-    // the batch engine (verdicts are byte-identical to sequential);
-    // the rendering modes stay on the sequential path they require.
+    // the batch engine (decided verdicts agree with the sequential
+    // path; see --jobs above); the rendering modes stay on the
+    // sequential path they require.
     UseEngine = !SequentialOnly;
     Opts.Jobs = 0;
   }
@@ -258,6 +265,8 @@ int main(int argc, char **argv) {
     return Exit;
   }
 
+  // Validate the whole file before proving anything: the sequential
+  // path reports the first bad line and stops.
   sl::FileParseResult Parsed = [&] {
     obs::TraceSpan Span("parse");
     return sl::parseEntailmentFile(Terms, Input);
@@ -268,12 +277,18 @@ int main(int argc, char **argv) {
     return 1;
   }
 
+  // Each line is parsed anew into a session rewound to its baseline,
+  // as the batch engine's workers do, so its term and symbol ids — and
+  // with them the term order and the whole search — do not depend on
+  // the lines before it.
   core::ProverOptions ProverOpts;
   ProverOpts.Sat.IndexedSubsumption = Opts.IndexedSubsumption;
   ProverOpts.Sat.IncrementalModel = Opts.IncrementalModel;
-  core::SlpProver Slp(Terms, ProverOpts);
-  baselines::BerdineProver Berdine(Terms);
-  baselines::UnfoldingProver Greedy(Terms);
+  core::ProverSession Session(ProverOpts);
+  TermTable &QTerms = Session.terms();
+  const core::SlpProver &Slp = Session.prover();
+  baselines::BerdineProver Berdine(QTerms);
+  baselines::UnfoldingProver Greedy(QTerms);
   std::unique_ptr<engine::PortfolioProver> Portfolio;
   if (IsPortfolio) {
     engine::PortfolioOptions PO;
@@ -282,8 +297,11 @@ int main(int argc, char **argv) {
   }
 
   unsigned Index = 0;
-  for (const sl::Entailment &E : Parsed.Entailments) {
+  for (const std::string &Line : engine::BatchProver::splitCorpus(Input)) {
     ++Index;
+    Session.reset();
+    sl::ParseResult Reparsed = sl::parseEntailment(QTerms, Line);
+    const sl::Entailment &E = *Reparsed.Value; // Validated above.
     Fuel F = Opts.FuelSteps ? Fuel(Opts.FuelSteps) : Fuel();
     Timer T;
     std::string VerdictText;
@@ -300,7 +318,7 @@ int main(int argc, char **argv) {
     } else if (IsPortfolio) {
       // Race the full backend set (each member budgeted by --fuel via
       // F); report which member won.
-      core::ProofTask Task{sl::str(Terms, E), "", 0};
+      core::ProofTask Task{sl::str(QTerms, E), "", 0};
       core::BackendResult R = Portfolio->prove(Task, F);
       VerdictText = core::verdictName(R.V);
       if (!R.Backend.empty())
@@ -314,7 +332,7 @@ int main(int argc, char **argv) {
                  if (!Opts.Presolve || Opts.Proof || Opts.CheckProof ||
                      Opts.DotProof)
                    return std::nullopt;
-                 analysis::AnalysisResult A = analysis::analyze(Terms, E);
+                 analysis::AnalysisResult A = analysis::analyze(QTerms, E);
                  if (!A.definitive())
                    return std::nullopt;
                  return A;
@@ -325,19 +343,19 @@ int main(int argc, char **argv) {
       VerdictText = core::verdictName(Pre->V);
       if (Opts.Model && Pre->Cex)
         VerdictText += "\n  countermodel: " +
-                       sl::str(Terms, Pre->Cex->S, Pre->Cex->H);
+                       sl::str(QTerms, Pre->Cex->S, Pre->Cex->H);
       if (Opts.DotModel && Pre->Cex)
-        VerdictText += "\n" + core::counterModelToDot(Terms, Pre->Cex->S,
+        VerdictText += "\n" + core::counterModelToDot(QTerms, Pre->Cex->S,
                                                       Pre->Cex->H);
       if (Opts.Stats)
         VerdictText += std::string("\n  stats: presolved (") +
                        analysis::reasonName(Pre->R) + ")";
     } else {
-      core::ProveResult R = Slp.prove(E, F);
+      core::ProveResult R = Session.prove(E, F);
       VerdictText = core::verdictName(R.V);
       if (Opts.Model && R.Cex)
         VerdictText += "\n  countermodel: " +
-                       sl::str(Terms, R.Cex->S, R.Cex->H);
+                       sl::str(QTerms, R.Cex->S, R.Cex->H);
       if (Opts.Proof && R.V == core::Verdict::Valid)
         VerdictText +=
             "\n" + core::renderRefutation(Slp.saturation(), Slp.inputLabels());
@@ -353,7 +371,7 @@ int main(int argc, char **argv) {
                                                Slp.inputLabels(),
                                                Slp.saturation().emptyClauseId());
       if (Opts.DotModel && R.Cex)
-        VerdictText += "\n" + core::counterModelToDot(Terms, R.Cex->S,
+        VerdictText += "\n" + core::counterModelToDot(QTerms, R.Cex->S,
                                                       R.Cex->H);
       if (Opts.Stats)
         VerdictText += "\n  stats: outer=" +
@@ -378,7 +396,7 @@ int main(int argc, char **argv) {
     }
     if (Recorder.enabled())
       Recorder.complete("prove", SpanStart, Recorder.nowNs() - SpanStart);
-    std::cout << "[" << Index << "] " << sl::str(Terms, E) << "\n    "
+    std::cout << "[" << Index << "] " << sl::str(QTerms, E) << "\n    "
               << VerdictText;
     if (Opts.Stats)
       std::cout << "\n    time: " << T.seconds() << "s";
