@@ -11,10 +11,14 @@
 /// VC corpus must be bit-identical to the snapshots taken before the
 /// refactor (tests/data/soa_golden.txt). Any layout or ordering change
 /// that perturbs a single inference shows up as a one-line diff here.
+/// tests/data/search_counters_golden.txt pins the saturation search of
+/// the same queries (fuel plus the inference and redundancy counters)
+/// on both the indexed and the linear subsumption path.
 ///
 /// Regenerate (only after independently validating the new behavior,
 /// e.g. against the indexed-vs-linear and incremental-vs-scratch
-/// differential suites) with SLP_REGEN_SOA_GOLDEN=1.
+/// differential suites) with SLP_REGEN_SOA_GOLDEN=1 or
+/// SLP_REGEN_SEARCH_GOLDEN=1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,15 +39,12 @@ using namespace slp;
 
 namespace {
 
-/// Locates tests/data/soa_golden.txt relative to the build directory
-/// the test binary happens to run from (same upward search as the
+/// Locates tests/data/<File> relative to the build directory the test
+/// binary happens to run from (same upward search as the
 /// regression-corpus loader).
-std::string goldenPath() {
-  for (const char *Path :
-       {"tests/data/soa_golden.txt", "../tests/data/soa_golden.txt",
-        "../../tests/data/soa_golden.txt",
-        "../../../tests/data/soa_golden.txt",
-        "../../../../tests/data/soa_golden.txt"}) {
+std::string dataPath(const std::string &File) {
+  for (const char *Up : {"", "../", "../../", "../../../", "../../../../"}) {
+    std::string Path = std::string(Up) + "tests/data/" + File;
     std::ifstream In(Path);
     if (In)
       return Path;
@@ -51,23 +52,29 @@ std::string goldenPath() {
   return "";
 }
 
-/// Proves every query of \p Queries in one long-lived session (the
-/// engine's lifecycle) and renders one snapshot line per query:
-///   <corpus>:<index> <verdict> fuel=<used> cex=<rendered countermodel>
-void snapshotCorpus(const std::string &Name,
-                    const std::vector<std::string> &Queries,
-                    uint64_t FuelPerQuery, std::ostream &OS) {
-  core::ProverSession Session;
-  for (size_t I = 0; I != Queries.size(); ++I) {
+/// One snapshot corpus: its queries and the per-query fuel budget
+/// (0 = unlimited).
+struct Corpus {
+  std::string Name;
+  std::vector<std::string> Queries;
+  uint64_t FuelPerQuery;
+};
+
+/// Proves every query of \p C in one long-lived session (the engine's
+/// lifecycle) and renders one snapshot line per query:
+///   <corpus>:<index> <Render(Session, Result)>
+template <typename RenderT>
+void snapshotCorpus(const Corpus &C, const core::ProverOptions &Opts,
+                    std::ostream &OS, RenderT &&Render) {
+  core::ProverSession Session(Opts);
+  for (size_t I = 0; I != C.Queries.size(); ++I) {
     Session.reset();
-    sl::ParseResult P = sl::parseEntailment(Session.terms(), Queries[I]);
-    ASSERT_TRUE(P.ok()) << Name << ":" << I << " " << Queries[I];
-    Fuel F = FuelPerQuery ? Fuel(FuelPerQuery) : Fuel();
+    sl::ParseResult P = sl::parseEntailment(Session.terms(), C.Queries[I]);
+    ASSERT_TRUE(P.ok()) << C.Name << ":" << I << " " << C.Queries[I];
+    Fuel F = C.FuelPerQuery ? Fuel(C.FuelPerQuery) : Fuel();
     core::ProveResult R = Session.prove(*P.Value, F);
-    OS << Name << ":" << I << " " << core::verdictName(R.V)
-       << " fuel=" << R.Stats.FuelUsed << " cex=";
-    if (R.Cex)
-      OS << sl::str(Session.terms(), R.Cex->S, R.Cex->H);
+    OS << C.Name << ":" << I << " ";
+    Render(Session, R);
     OS << "\n";
   }
 }
@@ -85,57 +92,62 @@ std::vector<std::string> render(unsigned N, uint64_t Seed, Gen &&G) {
   return Out;
 }
 
-} // namespace
-
-TEST(SoaDifferentialTest, MatchesPreRefactorSnapshots) {
-  std::ostringstream Snap;
-
+/// The snapshot corpora and their budgets: the regression corpus,
+/// Table 1/2-style random batches, and the symexec VC corpus.
+std::vector<Corpus> snapshotCorpora() {
+  std::vector<Corpus> Out;
   std::vector<std::string> Regression = test::regressionQueryLines();
-  ASSERT_FALSE(Regression.empty()) << "data/regression.slp not found";
-  snapshotCorpus("regression", Regression, /*FuelPerQuery=*/0, Snap);
+  EXPECT_FALSE(Regression.empty()) << "data/regression.slp not found";
+  Out.push_back({"regression", std::move(Regression), 0});
 
   // Table 1 distribution, including rows heavy enough to time out at
   // this budget — OutOfFuel paths must burn bit-identical fuel too.
   for (unsigned Vars : {10u, 13u})
-    snapshotCorpus("dist1-v" + std::to_string(Vars),
+    Out.push_back({"dist1-v" + std::to_string(Vars),
                    render(25, 1000 + Vars,
                           [Vars](TermTable &T, SplitMix64 &R) {
                             return gen::distribution1(T, R, Vars, 0.08, 0.15);
                           }),
-                   /*FuelPerQuery=*/12000, Snap);
+                   12000});
 
   // Table 2 distribution (deep lseg chains; demodulation heavy).
   for (unsigned Vars : {10u, 12u})
-    snapshotCorpus("dist2-v" + std::to_string(Vars),
+    Out.push_back({"dist2-v" + std::to_string(Vars),
                    render(20, 2000 + Vars,
                           [Vars](TermTable &T, SplitMix64 &R) {
                             return gen::distribution2(T, R, Vars, 0.7);
                           }),
-                   /*FuelPerQuery=*/20000, Snap);
+                   20000});
 
   // Table 3: the 46 symbolic-execution verification conditions.
   engine::VcTaskSet Vcs = engine::symexecVcTasks();
-  ASSERT_TRUE(Vcs.ok()) << Vcs.Error.value_or("");
+  EXPECT_TRUE(Vcs.ok()) << Vcs.Error.value_or("");
   std::vector<std::string> VcQueries;
   for (const core::ProofTask &T : Vcs.Tasks)
     VcQueries.push_back(T.Text);
-  snapshotCorpus("symexec-vc", VcQueries, /*FuelPerQuery=*/0, Snap);
+  Out.push_back({"symexec-vc", std::move(VcQueries), 0});
+  return Out;
+}
 
-  std::string Path = goldenPath();
-  if (std::getenv("SLP_REGEN_SOA_GOLDEN")) {
+/// Compares \p Snap line by line with tests/data/<File>, or rewrites
+/// that file with it when \p Regenerate is set.
+void expectMatchesGolden(const std::string &File, bool Regenerate,
+                         const std::string &Snap) {
+  std::string Path = dataPath(File);
+  if (Regenerate) {
     ASSERT_FALSE(Path.empty())
-        << "create an (empty) tests/data/soa_golden.txt first so the "
-           "regeneration can locate it";
+        << "create an (empty) tests/data/" << File
+        << " first so the regeneration can locate it";
     std::ofstream Out(Path, std::ios::trunc);
-    Out << Snap.str();
+    Out << Snap;
     GTEST_SKIP() << "regenerated " << Path;
   }
 
-  ASSERT_FALSE(Path.empty()) << "tests/data/soa_golden.txt not found";
+  ASSERT_FALSE(Path.empty()) << "tests/data/" << File << " not found";
   std::ifstream In(Path);
   std::ostringstream Golden;
   Golden << In.rdbuf();
-  std::istringstream Got(Snap.str()), Want(Golden.str());
+  std::istringstream Got(Snap), Want(Golden.str());
   std::string GotLine, WantLine;
   size_t LineNo = 0;
   while (std::getline(Want, WantLine)) {
@@ -146,4 +158,51 @@ TEST(SoaDifferentialTest, MatchesPreRefactorSnapshots) {
   }
   ASSERT_FALSE(static_cast<bool>(std::getline(Got, GotLine)))
       << "snapshot has extra lines past the golden file";
+}
+
+} // namespace
+
+TEST(SoaDifferentialTest, MatchesPreRefactorSnapshots) {
+  std::ostringstream Snap;
+  for (const Corpus &C : snapshotCorpora())
+    snapshotCorpus(C, {}, Snap,
+                   [&Snap](core::ProverSession &S, const core::ProveResult &R) {
+                     Snap << core::verdictName(R.V)
+                          << " fuel=" << R.Stats.FuelUsed << " cex=";
+                     if (R.Cex)
+                       Snap << sl::str(S.terms(), R.Cex->S, R.Cex->H);
+                   });
+  expectMatchesGolden("soa_golden.txt", std::getenv("SLP_REGEN_SOA_GOLDEN"),
+                      Snap.str());
+}
+
+// The saturation search itself — fuel and the inference/redundancy
+// counters of every query — pinned on both subsumption paths. Kernel
+// changes that only make each step cheaper (conclusion construction,
+// subsumer lookup, clause storage) must leave every line unchanged;
+// only the candidate-test counters (SubChecks, SubScanBaseline) are
+// free to move, so they are not recorded.
+TEST(SoaDifferentialTest, SearchCountersMatchGolden) {
+  const std::vector<Corpus> Corpora = snapshotCorpora();
+  for (bool Indexed : {true, false}) {
+    SCOPED_TRACE(Indexed ? "indexed subsumption" : "linear subsumption");
+    core::ProverOptions Opts;
+    Opts.Sat.IndexedSubsumption = Indexed;
+    std::ostringstream Snap;
+    for (const Corpus &C : Corpora)
+      snapshotCorpus(
+          C, Opts, Snap,
+          [&Snap](core::ProverSession &S, const core::ProveResult &R) {
+            const sup::SaturationStats &St = S.prover().saturation().stats();
+            Snap << "fuel=" << R.Stats.FuelUsed << " derived=" << St.Derived
+                 << " kept=" << St.Kept << " taut=" << St.Tautologies
+                 << " fwd=" << St.SubsumedFwd << " bwd=" << St.SubsumedBwd
+                 << " demod=" << St.Demodulated;
+          });
+    // Regenerate from the indexed path only; the linear path is then
+    // checked against the new file.
+    expectMatchesGolden("search_counters_golden.txt",
+                        Indexed && std::getenv("SLP_REGEN_SEARCH_GOLDEN"),
+                        Snap.str());
+  }
 }
