@@ -39,12 +39,17 @@ Clause::Clause(std::vector<Equation> Neg, std::vector<Equation> Pos)
     : NegEqs(std::move(Neg)), PosEqs(std::move(Pos)) {
   canonicalize(NegEqs);
   canonicalize(PosEqs);
+  Hash = hashOf(NegEqs, PosEqs);
+}
+
+uint64_t Clause::hashOf(std::span<const Equation> Neg,
+                        std::span<const Equation> Pos) {
   uint64_t H = hashValue(0x5157);
-  for (const Equation &E : NegEqs)
+  for (const Equation &E : Neg)
     H = hashCombine(H, E.hash() * 2 + 1);
-  for (const Equation &E : PosEqs)
+  for (const Equation &E : Pos)
     H = hashCombine(H, E.hash() * 2);
-  Hash = H;
+  return H;
 }
 
 // The set algorithms run on spans so the vector-backed Clause and the
@@ -125,4 +130,104 @@ bool ClauseView::subsumes(ClauseView Other) const {
 
 std::string ClauseView::str(const TermTable &Terms) const {
   return spanStr(Terms, Neg, Pos);
+}
+
+//===----------------------------------------------------------------------===//
+// Conclusions built from premise spans
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// True iff \p E occurs in sorted \p Eqs other than as \p Drop.
+bool containsBut(std::span<const Equation> Eqs,
+                 const std::optional<Equation> &Drop, const Equation &E) {
+  return E != Drop && std::binary_search(Eqs.begin(), Eqs.end(), E);
+}
+
+/// True iff sorted \p A minus \p DropA and sorted \p B minus \p DropB
+/// share an equation.
+bool intersectsBut(std::span<const Equation> A,
+                   const std::optional<Equation> &DropA,
+                   std::span<const Equation> B,
+                   const std::optional<Equation> &DropB) {
+  auto AI = A.begin(), BI = B.begin();
+  while (AI != A.end() && BI != B.end()) {
+    if (*AI < *BI) {
+      ++AI;
+    } else if (*BI < *AI) {
+      ++BI;
+    } else {
+      if (*AI != DropA && *AI != DropB)
+        return true;
+      ++AI;
+      ++BI;
+    }
+  }
+  return false;
+}
+
+/// Merges sorted \p A minus \p DropA, sorted \p B minus \p DropB
+/// and \p New into \p Out, sorted and without duplicates.
+void mergeSide(std::span<const Equation> A, const std::optional<Equation> &DropA,
+               std::span<const Equation> B, const std::optional<Equation> &DropB,
+               const std::optional<Equation> &New, std::vector<Equation> &Out) {
+  Out.clear();
+  auto Push = [&Out](const Equation &E) {
+    if (Out.empty() || Out.back() != E)
+      Out.push_back(E);
+  };
+  auto AI = A.begin(), BI = B.begin();
+  bool NewPending = New.has_value();
+  for (;;) {
+    if (AI != A.end() && *AI == DropA)
+      ++AI;
+    if (BI != B.end() && *BI == DropB)
+      ++BI;
+    const bool HaveA = AI != A.end(), HaveB = BI != B.end();
+    const bool TakeA = HaveA && (!HaveB || !(*BI < *AI));
+    const Equation *Next = TakeA ? &*AI : HaveB ? &*BI : nullptr;
+    if (NewPending && (!Next || *New < *Next)) {
+      Push(*New);
+      NewPending = false;
+      continue;
+    }
+    if (!Next)
+      return;
+    Push(*Next);
+    if (TakeA)
+      ++AI;
+    else
+      ++BI;
+  }
+}
+
+} // namespace
+
+bool Conclusion::tautology() const {
+  if (New) {
+    if (!NewNegative && New->trivial())
+      return true;
+    for (unsigned I = 0; I != NumPremises; ++I) {
+      const PremiseShare &P = Premises[I];
+      if (NewNegative ? containsBut(P.Pos, P.DropPos, *New)
+                      : containsBut(P.Neg, P.DropNeg, *New))
+        return true;
+    }
+  }
+  if (NumPremises < 2)
+    return false;
+  const PremiseShare &P = Premises[0], &Q = Premises[1];
+  return intersectsBut(P.Neg, P.DropNeg, Q.Pos, Q.DropPos) ||
+         intersectsBut(Q.Neg, Q.DropNeg, P.Pos, P.DropPos);
+}
+
+uint64_t Conclusion::build(std::vector<Equation> &Neg,
+                           std::vector<Equation> &Pos) const {
+  const PremiseShare &P = Premises[0];
+  const PremiseShare Q = NumPremises > 1 ? Premises[1] : PremiseShare{};
+  mergeSide(P.Neg, P.DropNeg, Q.Neg, Q.DropNeg,
+            NewNegative ? New : std::nullopt, Neg);
+  mergeSide(P.Pos, P.DropPos, Q.Pos, Q.DropPos,
+            NewNegative ? std::nullopt : New, Pos);
+  return Clause::hashOf(Neg, Pos);
 }

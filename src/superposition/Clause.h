@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,10 +41,12 @@ enum class RuleKind : uint8_t {
 /// Names a RuleKind for proof printing.
 const char *ruleKindName(RuleKind K);
 
-/// A derivation record: the rule and the ids of premise clauses.
+/// A derivation record: the rule and the ids of premise clauses. The
+/// clause database stores it flat and hands it out as this view; the
+/// Parents span is invalidated when a clause is added.
 struct Justification {
   RuleKind Kind = RuleKind::Input;
-  std::vector<uint32_t> Parents;
+  std::span<const uint32_t> Parents;
   /// Opaque tag the SL layer uses to attach its own provenance to
   /// Input clauses (e.g. "derived by W4 from clause C").
   uint32_t ExternalTag = ~0u;
@@ -75,6 +78,10 @@ public:
 
   /// Structural hash of the canonical form.
   uint64_t fingerprint() const { return Hash; }
+
+  /// The fingerprint of the clause with canonical sides \p Neg, \p Pos.
+  static uint64_t hashOf(std::span<const Equation> Neg,
+                         std::span<const Equation> Pos);
 
   friend bool operator==(const Clause &A, const Clause &B) {
     return A.NegEqs == B.NegEqs && A.PosEqs == B.PosEqs;
@@ -140,6 +147,39 @@ private:
   std::span<const Equation> Neg;
   std::span<const Equation> Pos;
   uint64_t Hash = 0;
+};
+
+/// One premise's share of an inference conclusion: its canonical
+/// equations, minus at most one literal per side that the inference
+/// consumes.
+struct PremiseShare {
+  std::span<const Equation> Neg;
+  std::span<const Equation> Pos;
+  std::optional<Equation> DropNeg; ///< Left out of Neg, if set.
+  std::optional<Equation> DropPos; ///< Left out of Pos, if set.
+};
+
+/// An inference conclusion Γ → ∆ described by what it is made of: the
+/// union of one or two premise shares plus at most one new literal.
+/// The inference rules describe their conclusions this way so that a
+/// conclusion can be rejected or merged straight from the premises'
+/// sorted spans, with no Clause built and no sort.
+struct Conclusion {
+  PremiseShare Premises[2];
+  unsigned NumPremises = 1;
+  std::optional<Equation> New;
+  bool NewNegative = false;
+
+  /// True iff the conclusion is a tautology, decided without building
+  /// it. Requires every premise to be a non-tautological canonical
+  /// clause (every stored clause is), so only literals of different
+  /// origins can clash.
+  bool tautology() const;
+
+  /// Writes the canonical sides (sorted, deduplicated) into \p Neg and
+  /// \p Pos, and returns the fingerprint — both exactly what
+  /// Clause(Neg, Pos) would hold.
+  uint64_t build(std::vector<Equation> &Neg, std::vector<Equation> &Pos) const;
 };
 
 } // namespace sup

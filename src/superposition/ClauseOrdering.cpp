@@ -36,22 +36,6 @@ ClauseOrdering::sortedLiterals(ClauseView C) const {
   return Lits;
 }
 
-Order ClauseOrdering::compareSortedLiterals(
-    std::span<const OrientedLiteral> LA,
-    std::span<const OrientedLiteral> LB) const {
-  size_t N = std::min(LA.size(), LB.size());
-  for (size_t I = 0; I != N; ++I) {
-    Order O = compareLiterals(LA[I], LB[I]);
-    if (O != Order::Equal)
-      return O;
-  }
-  if (LA.size() < LB.size())
-    return Order::Less;
-  if (LA.size() > LB.size())
-    return Order::Greater;
-  return Order::Equal;
-}
-
 Order ClauseOrdering::compareClauses(ClauseView A, ClauseView B) const {
   // For total element orders, the multiset extension coincides with a
   // lexicographic comparison of the descending-sorted sequences, with

@@ -22,6 +22,8 @@
 #include "superposition/Clause.h"
 #include "term/Ordering.h"
 
+#include <algorithm>
+
 namespace slp {
 namespace sup {
 
@@ -60,7 +62,27 @@ public:
   /// the multiset clause order on precomputed lists (a proper prefix
   /// is smaller).
   Order compareSortedLiterals(std::span<const OrientedLiteral> LA,
-                              std::span<const OrientedLiteral> LB) const;
+                              std::span<const OrientedLiteral> LB) const {
+    return compareLiteralSequences(
+        LA.size(), [LA](size_t I) { return LA[I]; }, LB.size(),
+        [LB](size_t I) { return LB[I]; });
+  }
+
+  /// compareSortedLiterals over lists of lengths \p NA and \p NB held
+  /// in any encoding: \p A(I) and \p B(I) return their I-th literals.
+  template <typename LitAT, typename LitBT>
+  Order compareLiteralSequences(size_t NA, LitAT &&A, size_t NB,
+                                LitBT &&B) const {
+    const size_t N = std::min(NA, NB);
+    for (size_t I = 0; I != N; ++I) {
+      Order O = compareLiterals(A(I), B(I));
+      if (O != Order::Equal)
+        return O;
+    }
+    if (NA != NB)
+      return NA < NB ? Order::Less : Order::Greater;
+    return Order::Equal;
+  }
 
   /// True if no literal of \p C is greater than \p L ("maximal").
   bool isMaximal(const OrientedLiteral &L, ClauseView C) const;

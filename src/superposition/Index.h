@@ -23,6 +23,12 @@
 ///     minimum-key literal included, so probing the lists of C's own
 ///     literals visits every subsumer of C.
 ///
+/// SubsumerCache sits in front of the LiteralIndex: the few clauses
+/// that subsumed the most recent queries. Nearly every inference
+/// conclusion is subsumed, and at any moment mostly by the same handful
+/// of short clauses, so trying those first answers most queries without
+/// visiting the index's candidate lists.
+///
 /// Backward subsumption (the clauses a new clause subsumes) needs no
 /// index: it runs once per kept clause and scans the signatures of the
 /// live clauses for supersets.
@@ -42,6 +48,7 @@
 
 #include "superposition/Clause.h"
 
+#include <algorithm>
 #include <array>
 #include <unordered_map>
 #include <vector>
@@ -130,6 +137,56 @@ private:
   std::unordered_map<uint64_t, std::vector<uint32_t>> Lists;
   std::vector<uint32_t> Empty; ///< Ids of stored empty clauses.
   size_t NumEntries = 0;
+};
+
+/// The most recent forward subsumers, most recent first. It holds live
+/// clause ids only: the owner erases an id when its clause is deleted
+/// and clears the cache with the clause database.
+class SubsumerCache {
+public:
+  static constexpr unsigned Capacity = 8;
+
+  /// Returns the first cached id for which \p Test holds and moves it
+  /// to the front, or returns ~0u.
+  template <typename TestT> uint32_t find(TestT &&Test) {
+    for (unsigned I = 0; I != Size; ++I) {
+      const uint32_t Id = Ids[I];
+      if (!Test(Id))
+        continue;
+      std::copy_backward(Ids.begin(), Ids.begin() + I, Ids.begin() + I + 1);
+      Ids[0] = Id;
+      return Id;
+    }
+    return ~0u;
+  }
+
+  /// Records \p Id (not cached) as the most recent subsumer, evicting
+  /// the least recent one when full.
+  void note(uint32_t Id) {
+    Size = std::min(Size + 1, Capacity);
+    std::copy_backward(Ids.begin(), Ids.begin() + Size - 1,
+                       Ids.begin() + Size);
+    Ids[0] = Id;
+  }
+
+  /// Forgets \p Id if cached.
+  void erase(uint32_t Id) {
+    auto End = Ids.begin() + Size;
+    auto It = std::find(Ids.begin(), End, Id);
+    if (It == End)
+      return;
+    std::copy(It + 1, End, It);
+    --Size;
+  }
+
+  void clear() { Size = 0; }
+
+  /// The cached ids, most recent first.
+  std::span<const uint32_t> ids() const { return {Ids.data(), Size}; }
+
+private:
+  std::array<uint32_t, Capacity> Ids{};
+  unsigned Size = 0;
 };
 
 /// Root-symbol fingerprint of the current demodulator set.

@@ -20,7 +20,6 @@ using namespace slp::sup;
 
 void Saturation::clear() {
   DB.clear();
-  Fingerprints.clear();
   Active.clear();
   Passive = {};
   EmptyClauseId.reset();
@@ -29,9 +28,10 @@ void Saturation::clear() {
   DemodIdx.clear();
   Sigs.clear();
   LitIdx.clear();
+  SubCache.clear();
   NumLive = 0;
   LitPool.clear();
-  LitRefs.clear();
+  LitOff.clear();
   ++OrderMemoEpoch; // O(1) memo invalidation.
   FromByMax.clear();
   IntoBySubterm.clear();
@@ -63,59 +63,84 @@ Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
     return {Dup.Id, Dup.State == DupOutcome::Revived};
 
   ClauseSignature Sig = ClauseSignature::of(C);
-  if (isForwardSubsumed(C, Sig)) {
+  if (forwardSubsumer(C, Sig) != ~0u) {
     ++Stats.SubsumedFwd;
     return {~0u, false};
   }
-
-  Justification J;
-  J.Kind = RuleKind::Input;
-  J.ExternalTag = ExternalTag;
-  bool Empty = C.empty();
-  uint32_t Size = static_cast<uint32_t>(C.size());
-  Fingerprints.emplace(C.fingerprint(), static_cast<uint32_t>(DB.numClauses()));
-  uint32_t Id = DB.append(C, std::move(J));
-  Stats.PoolEquations = DB.poolEquations();
-  registerClause(Id, Sig);
-  Passive.push({Size, Id});
-  if (Empty && !EmptyClauseId)
-    EmptyClauseId = Id;
-  else
-    backwardSubsume(Id);
-  return {Id, true};
+  return {store(C, Sig, RuleKind::Input, {}, ExternalTag), true};
 }
 
-std::optional<uint32_t> Saturation::keepDerived(Clause C, Justification J) {
+namespace {
+
+/// The reference Conclusion::tautology() must agree with: build the
+/// conclusion, then test it.
+[[maybe_unused]] bool builtIsTautology(const Conclusion &C) {
+  std::vector<Equation> Neg;
+  std::vector<Equation> Pos;
+  C.build(Neg, Pos);
+  return Clause(std::move(Neg), std::move(Pos)).isTautology();
+}
+
+} // namespace
+
+void Saturation::keepDerived(ClauseView C, RuleKind Kind,
+                             std::span<const uint32_t> Parents) {
   ++Stats.Derived;
   if (C.isTautology()) {
     ++Stats.Tautologies;
-    return std::nullopt;
+    return;
   }
-  DupOutcome Dup = handleDuplicate(C);
-  if (Dup.State == DupOutcome::Revived) {
-    ++Stats.Kept;
-    return Dup.Id;
+  keepNonTautology(C, Kind, Parents);
+}
+
+void Saturation::keepConclusion(const Conclusion &C, RuleKind Kind,
+                                std::span<const uint32_t> Parents) {
+  ++Stats.Derived;
+  // Most conclusions are tautologies: reject them before building.
+  const bool Tautology = C.tautology();
+  SLP_INVARIANT(Tautology == builtIsTautology(C),
+                "premise tautology check disagrees with the built conclusion");
+  if (Tautology) {
+    ++Stats.Tautologies;
+    return;
   }
-  if (Dup.State != DupOutcome::NoDup)
-    return std::nullopt;
-  ClauseSignature Sig = ClauseSignature::of(C);
-  if (isForwardSubsumed(C, Sig)) {
-    ++Stats.SubsumedFwd;
-    return std::nullopt;
+  const uint64_t Hash = C.build(NegScratch, PosScratch);
+  keepNonTautology(ClauseView(NegScratch, PosScratch, Hash), Kind, Parents);
+}
+
+void Saturation::keepNonTautology(ClauseView C, RuleKind Kind,
+                                  std::span<const uint32_t> Parents) {
+  const ClauseSignature Sig = ClauseSignature::of(C);
+  if (uint32_t By = forwardSubsumer(C, Sig); By != ~0u) {
+    // A subsumer as wide as C equals C: a live duplicate, which leaves
+    // C uncounted. Backward subsumption keeps the live set free of
+    // subsumed clauses, so a narrower subsumer rules out a live
+    // duplicate — except beside the empty clause, which subsumes
+    // everything without deleting anything.
+    const bool LiveDup =
+        DB.litCount(By) == C.size() ||
+        (EmptyClauseId && [&] {
+          uint32_t Dup = DB.findEqual(C);
+          return Dup != ~0u && !DB.deleted(Dup);
+        }());
+    SLP_INVARIANT(LiveDup || DB.findEqual(C) == ~0u ||
+                      DB.deleted(DB.findEqual(C)),
+                  "a live duplicate was counted as forward-subsumed");
+    if (!LiveDup)
+      ++Stats.SubsumedFwd;
+    return;
   }
-  bool Empty = C.empty();
-  uint32_t Size = static_cast<uint32_t>(C.size());
-  Fingerprints.emplace(C.fingerprint(), static_cast<uint32_t>(DB.numClauses()));
-  uint32_t Id = DB.append(C, std::move(J));
-  Stats.PoolEquations = DB.poolEquations();
-  registerClause(Id, Sig);
-  Passive.push({Size, Id});
+  // No live clause subsumes C, so a stored duplicate is a deleted one,
+  // and nothing stops its revival — unless subsumption is off.
+  if (uint32_t Dup = DB.findEqual(C); Dup != ~0u) {
+    if (DB.deleted(Dup)) {
+      revive(Dup);
+      ++Stats.Kept;
+    }
+    return;
+  }
+  store(C, Sig, Kind, Parents);
   ++Stats.Kept;
-  if (Empty && !EmptyClauseId)
-    EmptyClauseId = Id;
-  else
-    backwardSubsume(Id);
-  return Id;
 }
 
 Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
@@ -126,25 +151,42 @@ Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
   // must re-check forward subsumption first: if a *live* clause
   // subsumes the duplicate, its deletion is still justified and
   // resurrecting it would undo redundancy elimination.
-  auto [It, End] = Fingerprints.equal_range(C.fingerprint());
-  for (; It != End; ++It)
-    if (DB.view(It->second) == ClauseView(C)) {
-      uint32_t DupId = It->second;
-      if (!DB.deleted(DupId))
-        return {DupOutcome::LiveDup, DupId};
-      if (isForwardSubsumed(C, Sigs[DupId], DupId)) {
-        ++Stats.SubsumedFwd;
-        return {DupOutcome::StillSubsumed, DupId};
-      }
-      DB.setDeleted(DupId, false);
-      if (StaleDeleted)
-        --StaleDeleted;
-      registerClause(DupId, Sigs[DupId]);
-      Passive.push({DB.litCount(DupId), DupId});
-      backwardSubsume(DupId);
-      return {DupOutcome::Revived, DupId};
-    }
-  return {DupOutcome::NoDup, ~0u};
+  const uint32_t DupId = DB.findEqual(C);
+  if (DupId == ~0u)
+    return {DupOutcome::NoDup, ~0u};
+  if (!DB.deleted(DupId))
+    return {DupOutcome::LiveDup, DupId};
+  if (forwardSubsumer(C, Sigs[DupId], DupId) != ~0u) {
+    ++Stats.SubsumedFwd;
+    return {DupOutcome::StillSubsumed, DupId};
+  }
+  revive(DupId);
+  return {DupOutcome::Revived, DupId};
+}
+
+void Saturation::revive(uint32_t Id) {
+  DB.setDeleted(Id, false);
+  if (StaleDeleted)
+    --StaleDeleted;
+  registerClause(Id, Sigs[Id]);
+  Passive.push({DB.litCount(Id), Id});
+  backwardSubsume(Id);
+}
+
+uint32_t Saturation::store(ClauseView C, const ClauseSignature &Sig,
+                           RuleKind Kind, std::span<const uint32_t> Parents,
+                           uint32_t ExternalTag) {
+  const bool Empty = C.empty();
+  const uint32_t Size = static_cast<uint32_t>(C.size());
+  const uint32_t Id = DB.append(C, Kind, Parents, ExternalTag);
+  Stats.PoolEquations = DB.poolEquations();
+  registerClause(Id, Sig);
+  Passive.push({Size, Id});
+  if (Empty && !EmptyClauseId)
+    EmptyClauseId = Id;
+  else
+    backwardSubsume(Id);
+  return Id;
 }
 
 void Saturation::registerClause(uint32_t Id, const ClauseSignature &Sig) {
@@ -158,32 +200,47 @@ void Saturation::registerClause(uint32_t Id, const ClauseSignature &Sig) {
     orderedLiveInsert(Id);
 }
 
-bool Saturation::isForwardSubsumed(ClauseView C, const ClauseSignature &Sig,
-                                   uint32_t ExcludeId) {
+uint32_t Saturation::forwardSubsumer(ClauseView C, const ClauseSignature &Sig,
+                                     uint32_t ExcludeId) {
   if (!Opts.Subsumption)
-    return false;
+    return ~0u;
   ++Stats.SubQueries;
   // A full-database scan would consider every live clause except the
   // excluded one (when it is live, e.g. the given-clause re-check).
   Stats.SubScanBaseline +=
       NumLive - (ExcludeId != ~0u && !DB.deleted(ExcludeId) ? 1 : 0);
   if (indexed()) {
-    // Early exit at the first subsumer, mirroring the linear scan.
-    return LitIdx.anyCandidate(C, [&](uint32_t Id) {
+    auto Subsumes = [&](uint32_t Id) {
       if (Id == ExcludeId || !Sigs[Id].subsetOf(Sig))
         return false;
       ++Stats.SubChecks;
       return DB.view(Id).subsumes(C);
+    };
+    uint32_t Found = SubCache.find(Subsumes);
+    SLP_INVARIANT(Found == ~0u || (Found < DB.numClauses() &&
+                                   !DB.deleted(Found) && Found != ExcludeId),
+                  "subsumer cache answered with a dead or excluded clause");
+    if (Found != ~0u)
+      return Found;
+    // Early exit at the first subsumer, mirroring the linear scan.
+    LitIdx.anyCandidate(C, [&](uint32_t Id) {
+      if (!Subsumes(Id))
+        return false;
+      Found = Id;
+      return true;
     });
+    if (Found != ~0u)
+      SubCache.note(Found);
+    return Found;
   }
   for (uint32_t Id = 0; Id != DB.numClauses(); ++Id) {
     if (DB.deleted(Id) || Id == ExcludeId)
       continue;
     ++Stats.SubChecks;
     if (DB.view(Id).subsumes(C))
-      return true;
+      return Id;
   }
-  return false;
+  return ~0u;
 }
 
 void Saturation::backwardSubsume(uint32_t NewId) {
@@ -249,12 +306,9 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
       continue;
     deleteClause(ActId);
     ++Stats.Demodulated;
-    Justification J;
-    J.Kind = RuleKind::Demod;
-    J.Parents.push_back(ActId);
-    for (uint32_t U : Rewritten->second)
-      J.Parents.push_back(U);
-    keepDerived(std::move(Rewritten->first), std::move(J));
+    std::vector<uint32_t> &Parents = Rewritten->second;
+    Parents.insert(Parents.begin(), ActId);
+    keepDerived(Rewritten->first, RuleKind::Demod, Parents);
   }
 }
 
@@ -324,8 +378,10 @@ void Saturation::deleteClause(uint32_t Id) {
   DB.setDeleted(Id, true);
   --NumLive;
   ++StaleDeleted;
-  if (indexed())
+  if (indexed()) {
     LitIdx.erase(Id, DB.view(Id));
+    SubCache.erase(Id);
+  }
   if (Opts.IncrementalModel)
     orderedLiveErase(Id);
   auto It = DemodOwned.find(Id);
@@ -352,14 +408,7 @@ void Saturation::compactIndexes() {
   ++Stats.Compactions;
   uint64_t Purged = 0;
 
-  for (auto It = Fingerprints.begin(); It != Fingerprints.end();) {
-    if (DB.deleted(It->second)) {
-      It = Fingerprints.erase(It);
-      ++Purged;
-    } else {
-      ++It;
-    }
-  }
+  Purged += DB.purgeDeletedFingerprints();
 
   auto SweepPartnerIndex =
       [&](std::unordered_map<uint32_t, std::vector<uint32_t>> &Index) {
@@ -479,8 +528,10 @@ bool Saturation::clauseOrderLess(uint32_t A, uint32_t B) const {
   // Materialize both lists before taking spans: interning one can
   // relocate the pool backing the other.
   (void)sortedLits(A);
-  (void)sortedLits(B);
-  Order O = Ordering.compareSortedLiterals(sortedLits(A), sortedLits(B));
+  std::span<const LitCode> LA = sortedLits(A), LB = sortedLits(B);
+  Order O = Ordering.compareLiteralSequences(
+      LA.size(), [&](size_t I) { return decodeLit(A, LA[I]); }, LB.size(),
+      [&](size_t I) { return decodeLit(B, LB[I]); });
   E = {Key, OrderMemoEpoch, static_cast<uint8_t>(O)};
   return O == Order::Equal ? A < B : O == Order::Less;
 }
@@ -623,12 +674,9 @@ void Saturation::stepGivenClause() {
   if (auto Rewritten = demodClause(DB.view(GivenId), GivenId)) {
     deleteClause(GivenId);
     ++Stats.Demodulated;
-    Justification J;
-    J.Kind = RuleKind::Demod;
-    J.Parents.push_back(GivenId);
-    for (uint32_t U : Rewritten->second)
-      J.Parents.push_back(U);
-    keepDerived(std::move(Rewritten->first), std::move(J));
+    std::vector<uint32_t> &Parents = Rewritten->second;
+    Parents.insert(Parents.begin(), GivenId);
+    keepDerived(Rewritten->first, RuleKind::Demod, Parents);
     return;
   }
 
@@ -641,7 +689,7 @@ void Saturation::stepGivenClause() {
   // Another live clause may have arrived since this one was queued.
   // (Keep-time backward subsumption deletes most such clauses already;
   // this is a cheap indexed safety net.)
-  if (isForwardSubsumed(C, Sigs[GivenId], GivenId)) {
+  if (forwardSubsumer(C, Sigs[GivenId], GivenId) != ~0u) {
     deleteClause(GivenId);
     ++Stats.SubsumedFwd;
     return;
@@ -779,7 +827,7 @@ OrientedLiteral Saturation::maxLiteral(uint32_t Id) const {
   assert(!DB.view(Id).empty() && "the empty clause has no literals");
   // The descending-sorted list is interned per clause id; its head is
   // the unique maximal literal (one derivation serves both uses).
-  return sortedLits(Id).front();
+  return decodeLit(Id, sortedLits(Id).front());
 }
 
 void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
@@ -801,42 +849,27 @@ void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
   if (Repls.empty())
     return;
 
-  // Copies, not views: keepDerived grows the equation pool, which
-  // would invalidate spans into it.
-  ClauseView FView = DB.view(FromId), GView = DB.view(IntoId);
-  const std::vector<Equation> FNeg(FView.neg().begin(), FView.neg().end());
-  const std::vector<Equation> FPos(FView.pos().begin(), FView.pos().end());
-  const std::vector<Equation> GNeg(GView.neg().begin(), GView.neg().end());
-  const std::vector<Equation> GPos(GView.pos().begin(), GView.pos().end());
   const Equation FromEq(MF.Max, MF.Min);
   const Equation IntoEq(MG.Max, MG.Min);
-
+  const uint32_t Parents[] = {FromId, IntoId};
   for (const Term *NewMax : Repls) {
-    std::vector<Equation> Neg(FNeg);
-    std::vector<Equation> Pos;
-    for (const Equation &PE : FPos)
-      if (PE != FromEq)
-        Pos.push_back(PE);
-    Justification J;
+    // Views taken afresh per conclusion: keeping one grows the
+    // equation pool under them.
+    ClauseView F = DB.view(FromId), G = DB.view(IntoId);
+    Conclusion C;
+    C.NumPremises = 2;
+    C.Premises[0] = {F.neg(), F.pos(), std::nullopt, FromEq};
+    C.New.emplace(NewMax, MG.Min);
+    C.NewNegative = MG.Negative;
     if (MG.Negative) {
       // Superposition left: Γ1,Γ2, s[r]'t -> ∆1,∆2.
-      for (const Equation &NE : GNeg)
-        if (NE != IntoEq)
-          Neg.push_back(NE);
-      Neg.emplace_back(NewMax, MG.Min);
-      Pos.insert(Pos.end(), GPos.begin(), GPos.end());
-      J.Kind = RuleKind::SupLeft;
+      C.Premises[1] = {G.neg(), G.pos(), IntoEq, std::nullopt};
     } else {
       // Superposition right: Γ1,Γ2 -> ∆1,∆2, s[r]'t.
-      Neg.insert(Neg.end(), GNeg.begin(), GNeg.end());
-      for (const Equation &PE : GPos)
-        if (PE != IntoEq)
-          Pos.push_back(PE);
-      Pos.emplace_back(NewMax, MG.Min);
-      J.Kind = RuleKind::SupRight;
+      C.Premises[1] = {G.neg(), G.pos(), std::nullopt, IntoEq};
     }
-    J.Parents = {FromId, IntoId};
-    keepDerived(Clause(std::move(Neg), std::move(Pos)), std::move(J));
+    keepConclusion(C, MG.Negative ? RuleKind::SupLeft : RuleKind::SupRight,
+                   Parents);
   }
 }
 
@@ -846,18 +879,10 @@ void Saturation::equalityResolution(uint32_t Id) {
   const OrientedLiteral M = maxLiteral(Id);
   if (!M.Negative || M.Max != M.Min)
     return;
-  // Copies: keepDerived grows the equation pool under the view.
-  ClauseView C = DB.view(Id);
-  std::vector<Equation> Pos(C.pos().begin(), C.pos().end());
-  const Equation MEq(M.Max, M.Min);
-  std::vector<Equation> Neg;
-  for (const Equation &NE : C.neg())
-    if (NE != MEq)
-      Neg.push_back(NE);
-  Justification J;
-  J.Kind = RuleKind::EqRes;
-  J.Parents = {Id};
-  keepDerived(Clause(std::move(Neg), std::move(Pos)), std::move(J));
+  ClauseView V = DB.view(Id);
+  Conclusion C;
+  C.Premises[0] = {V.neg(), V.pos(), Equation(M.Max, M.Min), std::nullopt};
+  keepConclusion(C, RuleKind::EqRes, {&Id, 1});
 }
 
 void Saturation::equalityFactoring(uint32_t Id) {
@@ -866,27 +891,23 @@ void Saturation::equalityFactoring(uint32_t Id) {
   const OrientedLiteral M = maxLiteral(Id);
   if (M.Negative || M.Max == M.Min)
     return;
-  // Copies: keepDerived grows the equation pool under the view.
-  ClauseView C = DB.view(Id);
-  const std::vector<Equation> CNeg(C.neg().begin(), C.neg().end());
-  const std::vector<Equation> CPos(C.pos().begin(), C.pos().end());
   const Equation MEq(M.Max, M.Min);
-  for (const Equation &E2 : CPos) {
+  const size_t NumPos = DB.view(Id).pos().size();
+  for (size_t I = 0; I != NumPos; ++I) {
+    // Views taken afresh per conclusion: keeping one grows the
+    // equation pool under them.
+    ClauseView V = DB.view(Id);
+    const Equation E2 = V.pos()[I];
     if (E2 == MEq)
       continue;
     OrientedLiteral L2 = Ordering.orient(E2, /*Negative=*/false);
     if (L2.Max != M.Max)
       continue;
-    std::vector<Equation> Neg(CNeg);
-    Neg.emplace_back(M.Min, L2.Min);
-    std::vector<Equation> Pos;
-    for (const Equation &PE : CPos)
-      if (PE != MEq)
-        Pos.push_back(PE);
-    Justification J;
-    J.Kind = RuleKind::EqFact;
-    J.Parents = {Id};
-    keepDerived(Clause(std::move(Neg), std::move(Pos)), std::move(J));
+    Conclusion C;
+    C.Premises[0] = {V.neg(), V.pos(), std::nullopt, MEq};
+    C.New.emplace(M.Min, L2.Min);
+    C.NewNegative = true;
+    keepConclusion(C, RuleKind::EqFact, {&Id, 1});
   }
 }
 
@@ -900,31 +921,32 @@ GroundRewriteSystem Saturation::genModel() const {
   return genModelFrom(liveClauses());
 }
 
-std::span<const OrientedLiteral> Saturation::sortedLits(uint32_t Id) const {
-  if (LitRefs.size() <= Id)
-    LitRefs.resize(Id + 1);
-  LitListRef &Ref = LitRefs[Id];
-  if (Ref.Off == ~0u) {
+std::span<const Saturation::LitCode>
+Saturation::sortedLits(uint32_t Id) const {
+  if (LitOff.size() <= Id)
+    LitOff.resize(Id + 1, ~0u);
+  const uint32_t Len = DB.litCount(Id);
+  if (LitOff[Id] == ~0u) {
     // Intern on first use: orient and sort into the scratch buffer,
-    // then append to the flat pool (clauses are immutable, so the
-    // list never changes afterwards).
+    // then append the codes to the flat pool (clauses are immutable, so
+    // the list never changes afterwards).
     LitScratch.clear();
-    ClauseView C = DB.view(Id);
-    LitScratch.reserve(C.size());
-    for (const Equation &E : C.neg())
-      LitScratch.push_back(Ordering.orient(E, /*Negative=*/true));
-    for (const Equation &E : C.pos())
-      LitScratch.push_back(Ordering.orient(E, /*Negative=*/false));
+    for (uint32_t Pos = 0; Pos != Len; ++Pos) {
+      const Equation &E = DB.equation(Id, Pos);
+      OrientedLiteral L = Ordering.orient(E, Pos < DB.negCount(Id));
+      LitScratch.push_back({L, Pos << 1 | (L.Max != E.lhs())});
+    }
     std::sort(LitScratch.begin(), LitScratch.end(),
-              [this](const OrientedLiteral &A, const OrientedLiteral &B) {
-                return Ordering.compareLiterals(A, B) == Order::Greater;
+              [this](const LitSortEntry &A, const LitSortEntry &B) {
+                return Ordering.compareLiterals(A.Lit, B.Lit) ==
+                       Order::Greater;
               });
-    Ref.Off = static_cast<uint32_t>(LitPool.size());
-    Ref.Len = static_cast<uint32_t>(LitScratch.size());
-    LitPool.insert(LitPool.end(), LitScratch.begin(), LitScratch.end());
+    LitOff[Id] = static_cast<uint32_t>(LitPool.size());
+    for (const LitSortEntry &E : LitScratch)
+      LitPool.push_back(E.Code);
     Stats.PoolLiterals = LitPool.size();
   }
-  return {LitPool.data() + Ref.Off, Ref.Len};
+  return {LitPool.data() + LitOff[Id], Len};
 }
 
 GroundRewriteSystem
@@ -951,13 +973,14 @@ void Saturation::genStep(GroundRewriteSystem &R, uint32_t Id) const {
   // Only the greatest literal can be strictly maximal, and it is iff
   // it strictly exceeds the runner-up; canonical clauses carry no
   // duplicate literals, so the comparison below is never Equal.
-  std::span<const OrientedLiteral> Lits = sortedLits(Id);
+  std::span<const LitCode> Lits = sortedLits(Id);
   if (Lits.empty())
     return;
-  const OrientedLiteral &L = Lits.front();
+  const OrientedLiteral L = decodeLit(Id, Lits.front());
   if (L.Negative || L.Max == L.Min)
     return;
-  if (Lits.size() > 1 && Ordering.compareLiterals(Lits[1], L) != Order::Less)
+  if (Lits.size() > 1 &&
+      Ordering.compareLiterals(decodeLit(Id, Lits[1]), L) != Order::Less)
     return;
   // Productive only if the clause is false so far and the left-hand
   // side is irreducible.

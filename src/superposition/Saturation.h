@@ -75,8 +75,9 @@ struct SaturationStats {
   uint64_t SubsumedBwd = 0;  ///< Old clauses killed by new ones.
   uint64_t Demodulated = 0;  ///< Rewrites by unit equations.
   uint64_t SubQueries = 0;   ///< Forward + backward subsumption queries.
-  uint64_t SubChecks = 0;    ///< Clause pairs tested with subsumes().
-  /// Lazily-invalidated index entries (Fingerprints, FromByMax,
+  uint64_t SubChecks = 0;    ///< Clause pairs tested with subsumes(),
+                             ///< subsumer-cache probes included.
+  /// Lazily-invalidated index entries (fingerprint table, FromByMax,
   /// IntoBySubterm) belonging to deleted clauses that a compaction
   /// sweep purged; long-lived instances would otherwise grow without
   /// bound (see compactIndexes()).
@@ -105,7 +106,7 @@ struct SaturationStats {
   /// have redone from scratch after every addRule.
   uint64_t NfCacheReuse = 0;
   /// Struct-of-arrays pool occupancy at the last keep: equations in
-  /// the flat clause arena and oriented literals in the sorted-list
+  /// the flat clause arena and encoded entries in the sorted-literal
   /// pool. Mirrored to the sat.pool.* metrics.
   uint64_t PoolEquations = 0;
   uint64_t PoolLiterals = 0;
@@ -143,7 +144,7 @@ public:
                      uint32_t ExternalTag = ~0u);
 
   /// Sweeps the lazily-invalidated entries of deleted clauses out of
-  /// Fingerprints, FromByMax, and IntoBySubterm. Runs automatically
+  /// the fingerprint table, FromByMax, and IntoBySubterm. Runs automatically
   /// (amortized) once stale entries rival the live clause count; a
   /// long-lived caller may also force a sweep at any quiescent point.
   /// Purging a deleted clause's fingerprint is sound: re-adding an
@@ -186,7 +187,8 @@ public:
   /// are invalidated when a clause is added (saturate, addInput).
   ClauseView clause(uint32_t Id) const { return DB.view(Id); }
   bool deleted(uint32_t Id) const { return DB.deleted(Id); }
-  const Justification &justification(uint32_t Id) const {
+  /// The Parents span is invalidated when a clause is added.
+  Justification justification(uint32_t Id) const {
     return DB.justification(Id);
   }
   size_t numClauses() const { return DB.numClauses(); }
@@ -215,9 +217,23 @@ public:
   const SaturationStats &stats() const { return Stats; }
 
 private:
-  /// Pushes a derived clause into the database/passive queue unless it
-  /// is an obvious duplicate or tautology. Returns its id if kept.
-  std::optional<uint32_t> keepDerived(Clause C, Justification J);
+  /// Counts a derived clause and keeps it unless it is a tautology, a
+  /// duplicate, or subsumed (see keepNonTautology).
+  void keepDerived(ClauseView C, RuleKind Kind,
+                   std::span<const uint32_t> Parents);
+
+  /// keepDerived for an inference conclusion: rejects tautologies from
+  /// the premises, and merges the others into reusable scratch — no
+  /// Clause, no sort, and no provenance stored unless the clause is
+  /// kept.
+  void keepConclusion(const Conclusion &C, RuleKind Kind,
+                      std::span<const uint32_t> Parents);
+
+  /// The keep path of a derived non-tautology: forward subsumption
+  /// first (a live duplicate is a subsumer too), then the fingerprint
+  /// lookup that revives a deleted duplicate, then storage.
+  void keepNonTautology(ClauseView C, RuleKind Kind,
+                        std::span<const uint32_t> Parents);
 
   /// All superposition inferences between the given clause and one
   /// active partner (both directions), plus unary rules on Given.
@@ -231,16 +247,27 @@ private:
   /// exactly one, so every ordering side condition of the calculus
   /// reduces to a comparison against it. Derived from the pooled
   /// sorted-literal list (its front), so each clause's literals are
-  /// oriented and ordered exactly once; returned by value because
-  /// pool growth relocates the list storage.
+  /// oriented and ordered exactly once.
   OrientedLiteral maxLiteral(uint32_t Id) const;
 
-  /// Descending-sorted literals of a clause, interned in the flat
+  /// A literal of a clause as an entry of its sorted list: its position
+  /// in the clause's equations (Γ then ∆) shifted left once, plus 1 if
+  /// the right-hand side is the larger one. Four bytes instead of a
+  /// 24-byte OrientedLiteral; decodeLit() restores the literal.
+  using LitCode = uint32_t;
+  OrientedLiteral decodeLit(uint32_t Id, LitCode Code) const {
+    const Equation &E = DB.equation(Id, Code >> 1);
+    const bool Swap = Code & 1;
+    return {Swap ? E.rhs() : E.lhs(), Swap ? E.lhs() : E.rhs(),
+            (Code >> 1) < DB.negCount(Id)};
+  }
+
+  /// Descending-sorted literal codes of a clause, interned in the flat
   /// literal pool on first use (each id's list is computed exactly
   /// once; the returned span is invalidated when another id's list is
   /// materialized, so callers comparing two lists materialize both
   /// before taking spans).
-  std::span<const OrientedLiteral> sortedLits(uint32_t Id) const;
+  std::span<const LitCode> sortedLits(uint32_t Id) const;
 
   /// Replaces every occurrence position of \p Find in \p In one at a
   /// time; appends each single-position replacement result.
@@ -258,10 +285,12 @@ private:
   std::optional<std::pair<Clause, std::vector<uint32_t>>>
   demodClause(ClauseView C, uint32_t SelfId);
 
-  /// True iff some live clause other than \p ExcludeId subsumes \p C.
-  /// \p Sig must be C's signature. Uses the index when enabled.
-  bool isForwardSubsumed(ClauseView C, const ClauseSignature &Sig,
-                         uint32_t ExcludeId = ~0u);
+  /// A live clause other than \p ExcludeId that subsumes \p C, or ~0u
+  /// if there is none. \p Sig must be C's signature. When indexed, the
+  /// subsumer cache is tried before the literal index; either way the
+  /// answer is ~0u exactly when no such clause exists.
+  uint32_t forwardSubsumer(ClauseView C, const ClauseSignature &Sig,
+                           uint32_t ExcludeId = ~0u);
 
   /// Deletes every live clause the newly kept clause \p NewId
   /// subsumes (backward subsumption).
@@ -284,8 +313,19 @@ private:
     uint32_t Id; ///< The duplicate's id (~0u for NoDup).
   };
 
-  /// Shared duplicate/revival handling for addInput and keepDerived.
+  /// Duplicate/revival handling of addInput (which, unlike derived
+  /// clauses, reports a duplicate's id even when it stays deleted).
   DupOutcome handleDuplicate(const Clause &C);
+
+  /// Brings the deleted clause \p Id back: live, queued, and
+  /// backward-subsuming.
+  void revive(uint32_t Id);
+
+  /// Appends a new clause and makes it live (registered, queued,
+  /// backward-subsuming, or recorded as the empty clause); returns its
+  /// id.
+  uint32_t store(ClauseView C, const ClauseSignature &Sig, RuleKind Kind,
+             std::span<const uint32_t> Parents, uint32_t ExternalTag = ~0u);
 
   /// Whether subsumption queries go through the literal index.
   bool indexed() const {
@@ -344,10 +384,9 @@ private:
   ClauseOrdering Ordering;
   SaturationOptions Opts;
 
-  /// Struct-of-arrays clause storage (flat equation pool, hot records,
-  /// cold provenance); see ClauseDB.h.
+  /// Struct-of-arrays clause storage (flat equation pool, records,
+  /// parents arena, fingerprint table); see ClauseDB.h.
   ClauseDB DB;
-  std::unordered_multimap<uint64_t, uint32_t> Fingerprints;
   std::vector<uint32_t> Active;
   // Passive queue, popped smallest-first by (size, id); entries are
   // lazily invalidated (popped ids may be deleted or re-queued).
@@ -370,6 +409,11 @@ private:
   /// The *live* clauses, each under its minimum-key literal (when
   /// indexed()).
   LiteralIndex LitIdx;
+  /// The most recent forward subsumers, tried before LitIdx (when
+  /// indexed()).
+  SubsumerCache SubCache;
+  /// Scratch sides of the conclusion being kept (keepConclusion).
+  std::vector<Equation> NegScratch, PosScratch;
   /// Live (non-deleted) clause count, for the scan-baseline stats and
   /// the linear fallback.
   size_t NumLive = 0;
@@ -379,14 +423,16 @@ private:
   /// the single source of literal orientation and order —
   /// maxLiteral() reads a list's front, the ordered live set and the
   /// model-generation sort compare whole lists via clauseOrderLess.
-  mutable std::vector<OrientedLiteral> LitPool;
-  struct LitListRef {
-    uint32_t Off = ~0u; ///< ~0u = not yet materialized.
-    uint32_t Len = 0;
+  mutable std::vector<LitCode> LitPool;
+  /// Offset of each clause's list in LitPool (~0u = not yet
+  /// materialized); its length is the clause's literal count.
+  mutable std::vector<uint32_t> LitOff;
+  /// Scratch for a list being sorted before pool insertion.
+  struct LitSortEntry {
+    OrientedLiteral Lit;
+    LitCode Code;
   };
-  mutable std::vector<LitListRef> LitRefs;
-  /// Scratch for sortedLiterals() results before pool insertion.
-  mutable std::vector<OrientedLiteral> LitScratch;
+  mutable std::vector<LitSortEntry> LitScratch;
   /// Direct-mapped memo of clauseOrderLess results keyed by the id
   /// pair — the "memoized tie-break" behind the small-id fast path
   /// (equal ids answer Equal without any lookup). Epoch-stamped so
@@ -455,12 +501,12 @@ private:
   /// different rule sequence than its predecessor. Satisfaction and
   /// residual verdicts only carry over between attempts with the
   /// *same* final R, i.e. the same epoch.
-  uint64_t CertEpoch = 1;
+  uint32_t CertEpoch = 1;
   /// Per clause id: epoch at which modelSatisfies was last verified.
-  std::vector<uint64_t> SatOkEpoch;
+  std::vector<uint32_t> SatOkEpoch;
   /// Per generating-clause id: epoch at which the Lemma 3.1(2)
   /// residual check of its edge last passed.
-  std::vector<uint64_t> ResidualOkEpoch;
+  std::vector<uint32_t> ResidualOkEpoch;
 
   /// Mutable: the pool/memo counters are maintained from const paths
   /// (sortedLits, clauseOrderLess), like the pools themselves.
