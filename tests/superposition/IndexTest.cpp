@@ -262,6 +262,73 @@ TEST_F(IndexTest, IndexChurnMatchesBruteForce) {
   }
 }
 
+TEST_F(IndexTest, SubsumerCacheChurnMatchesLinearScan) {
+  // The saturation engine's forward-subsumption protocol: try the
+  // cache, fall back to a scan and note the subsumer it finds, erase a
+  // clause from the cache when it is deleted, and clear the cache with
+  // the clause database between queries (each round below starts a new
+  // database, so stale ids would be out of range). Under
+  // insert/erase/revive churn the cache must only ever answer with a
+  // live, non-excluded, in-range id, and the combined answer must equal
+  // a plain linear scan.
+  SplitMix64 Rng(2024);
+  SubsumerCache Cache;
+  unsigned Hits = 0, Misses = 0;
+  for (int Round = 0; Round != 20; ++Round) {
+    Cache.clear();
+    std::vector<Clause> Cs;
+    std::vector<bool> Live;
+    for (int Step = 0; Step != 400; ++Step) {
+      const uint64_t Op = Rng.below(4);
+      if (Op == 0) {
+        Cs.push_back(randomClause(Rng));
+        Live.push_back(true);
+      } else if (Op == 1 && !Cs.empty()) {
+        const uint32_t Id = static_cast<uint32_t>(Rng.below(Cs.size()));
+        if (Live[Id])
+          Cache.erase(Id);
+        Live[Id] = false;
+      } else if (Op == 2 && !Cs.empty()) {
+        Live[Rng.below(Cs.size())] = true;
+      } else if (Op == 3) {
+        const Clause Q = randomClause(Rng);
+        const uint32_t Exclude =
+            !Cs.empty() && Rng.below(2)
+                ? static_cast<uint32_t>(Rng.below(Cs.size()))
+                : ~0u;
+        auto Subsumes = [&](uint32_t Id) {
+          return Id != Exclude && Cs[Id].subsumes(Q);
+        };
+        bool Want = false;
+        for (uint32_t Id = 0; Id != Cs.size(); ++Id)
+          Want |= Live[Id] && Subsumes(Id);
+        uint32_t Found = Cache.find(Subsumes);
+        if (Found != ~0u) {
+          ++Hits;
+          ASSERT_LT(Found, Cs.size()) << "round " << Round;
+          ASSERT_TRUE(Live[Found]) << "round " << Round;
+          ASSERT_NE(Found, Exclude) << "round " << Round;
+        } else {
+          ++Misses;
+          for (uint32_t Id = 0; Id != Cs.size() && Found == ~0u; ++Id)
+            if (Live[Id] && Subsumes(Id))
+              Found = Id;
+          if (Found != ~0u)
+            Cache.note(Found);
+        }
+        ASSERT_EQ(Found != ~0u, Want) << "round " << Round << " step " << Step;
+      }
+      ASSERT_LE(Cache.ids().size(), SubsumerCache::Capacity);
+      for (uint32_t Id : Cache.ids()) {
+        ASSERT_LT(Id, Cs.size()) << "round " << Round;
+        ASSERT_TRUE(Live[Id]) << "round " << Round;
+      }
+    }
+  }
+  EXPECT_GT(Hits, 100u);
+  EXPECT_GT(Misses, 100u);
+}
+
 TEST_F(IndexTest, IndexOverPooledClauseViewsMatchesBruteForce) {
   // Signatures and index keys computed through the saturation engine's
   // flat clause arena (ClauseView spans) must match the owning Clause
