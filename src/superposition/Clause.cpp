@@ -168,8 +168,10 @@ bool intersectsBut(std::span<const Equation> A,
 
 /// Merges sorted \p A minus \p DropA, sorted \p B minus \p DropB
 /// and \p New into \p Out, sorted and without duplicates.
-void mergeSide(std::span<const Equation> A, const std::optional<Equation> &DropA,
-               std::span<const Equation> B, const std::optional<Equation> &DropB,
+void mergeSide(std::span<const Equation> A,
+               const std::optional<Equation> &DropA,
+               std::span<const Equation> B,
+               const std::optional<Equation> &DropB,
                const std::optional<Equation> &New, std::vector<Equation> &Out) {
   Out.clear();
   auto Push = [&Out](const Equation &E) {

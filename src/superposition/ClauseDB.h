@@ -122,7 +122,8 @@ public:
   uint32_t findEqual(ClauseView C) const {
     if (NumFiled == 0)
       return ~0u;
-    for (size_t S = slotFor(C.fingerprint());; S = (S + 1) & (Slots.size() - 1)) {
+    const size_t Mask = Slots.size() - 1;
+    for (size_t S = slotFor(C.fingerprint());; S = (S + 1) & Mask) {
       const uint32_t Id = Slots[S];
       if (Id == ~0u)
         return ~0u;

@@ -58,9 +58,18 @@ Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
     return {~0u, false};
   }
 
-  DupOutcome Dup = handleDuplicate(C);
-  if (Dup.State != DupOutcome::NoDup)
-    return {Dup.Id, Dup.State == DupOutcome::Revived};
+  if (uint32_t DupId = DB.findEqual(C); DupId != ~0u) {
+    // A live duplicate is not new; a deleted one is revived unless a
+    // live clause subsumes it (see revive()).
+    if (!DB.deleted(DupId))
+      return {DupId, false};
+    if (forwardSubsumer(C, Sigs[DupId], DupId) != ~0u) {
+      ++Stats.SubsumedFwd;
+      return {DupId, false};
+    }
+    revive(DupId);
+    return {DupId, true};
+  }
 
   ClauseSignature Sig = ClauseSignature::of(C);
   if (forwardSubsumer(C, Sig) != ~0u) {
@@ -141,27 +150,6 @@ void Saturation::keepNonTautology(ClauseView C, RuleKind Kind,
   }
   store(C, Sig, Kind, Parents);
   ++Stats.Kept;
-}
-
-Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
-  // A live duplicate is not new; a *deleted* duplicate must be
-  // revived — its deletion was justified by clauses that may since
-  // have been deleted themselves (simplification chains can be
-  // circular), so dropping it could silently lose the fact. Revival
-  // must re-check forward subsumption first: if a *live* clause
-  // subsumes the duplicate, its deletion is still justified and
-  // resurrecting it would undo redundancy elimination.
-  const uint32_t DupId = DB.findEqual(C);
-  if (DupId == ~0u)
-    return {DupOutcome::NoDup, ~0u};
-  if (!DB.deleted(DupId))
-    return {DupOutcome::LiveDup, DupId};
-  if (forwardSubsumer(C, Sigs[DupId], DupId) != ~0u) {
-    ++Stats.SubsumedFwd;
-    return {DupOutcome::StillSubsumed, DupId};
-  }
-  revive(DupId);
-  return {DupOutcome::Revived, DupId};
 }
 
 void Saturation::revive(uint32_t Id) {

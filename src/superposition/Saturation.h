@@ -144,9 +144,10 @@ public:
                      uint32_t ExternalTag = ~0u);
 
   /// Sweeps the lazily-invalidated entries of deleted clauses out of
-  /// the fingerprint table, FromByMax, and IntoBySubterm. Runs automatically
-  /// (amortized) once stale entries rival the live clause count; a
-  /// long-lived caller may also force a sweep at any quiescent point.
+  /// the fingerprint table, FromByMax, and IntoBySubterm. Runs
+  /// automatically (amortized) once stale entries rival the live clause
+  /// count; a long-lived caller may also force a sweep at any quiescent
+  /// point.
   /// Purging a deleted clause's fingerprint is sound: re-adding an
   /// equal clause then takes the no-duplicate path (fresh forward-
   /// subsumption check, fresh id) instead of revival, which preserves
@@ -301,31 +302,20 @@ private:
   /// first keep and on revival.
   void registerClause(uint32_t Id, const ClauseSignature &Sig);
 
-  /// Disposition of a clause that matches a stored duplicate.
-  struct DupOutcome {
-    enum Kind {
-      NoDup,         ///< No stored duplicate; caller proceeds normally.
-      LiveDup,       ///< A live duplicate exists; clause is not new.
-      StillSubsumed, ///< Deleted duplicate, but a live clause subsumes
-                     ///< it; stays deleted.
-      Revived,       ///< Deleted duplicate re-entered the passive queue.
-    } State;
-    uint32_t Id; ///< The duplicate's id (~0u for NoDup).
-  };
-
-  /// Duplicate/revival handling of addInput (which, unlike derived
-  /// clauses, reports a duplicate's id even when it stays deleted).
-  DupOutcome handleDuplicate(const Clause &C);
-
   /// Brings the deleted clause \p Id back: live, queued, and
-  /// backward-subsuming.
+  /// backward-subsuming. A deleted duplicate of a new clause must be
+  /// revived, not dropped — its deletion was justified by clauses that
+  /// may since have been deleted themselves (simplification chains can
+  /// be circular) — unless a *live* clause subsumes it, which still
+  /// justifies the deletion.
   void revive(uint32_t Id);
 
   /// Appends a new clause and makes it live (registered, queued,
   /// backward-subsuming, or recorded as the empty clause); returns its
   /// id.
   uint32_t store(ClauseView C, const ClauseSignature &Sig, RuleKind Kind,
-             std::span<const uint32_t> Parents, uint32_t ExternalTag = ~0u);
+                 std::span<const uint32_t> Parents,
+                 uint32_t ExternalTag = ~0u);
 
   /// Whether subsumption queries go through the literal index.
   bool indexed() const {
