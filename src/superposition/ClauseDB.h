@@ -44,8 +44,8 @@
 namespace slp {
 namespace sup {
 
-/// Flat clause/literal pools with hot/cold splitting; ids are dense
-/// and stable (deleted clauses keep their slot for proof trees).
+/// Flat clause, provenance and fingerprint storage; ids are dense and
+/// stable (deleted clauses keep their slot for proof trees).
 class ClauseDB {
 public:
   /// Copies \p C's canonical equations into the arena and its
@@ -107,10 +107,10 @@ public:
   /// the next append().
   Justification justification(uint32_t Id) const {
     const Record &R = Hot[Id];
-    const uint32_t End = Id + 1 < Hot.size() ? Hot[Id + 1].ParentOff
-                                             : ParentPool.size();
     if (R.Kind == RuleKind::Input)
       return {RuleKind::Input, {}, ParentPool[R.ParentOff]};
+    const size_t End =
+        Id + 1 < Hot.size() ? Hot[Id + 1].ParentOff : ParentPool.size();
     return {R.Kind, {ParentPool.data() + R.ParentOff, End - R.ParentOff}};
   }
 
