@@ -39,6 +39,31 @@ PhaseHistograms &phaseHistograms() {
   return H;
 }
 
+/// Holds this worker's ResultCache claim on one key: publish() ends it
+/// with the verdict; any other exit (the backend-path ParseError
+/// return, an exception) abandons it, so a waiter on the same key
+/// claims it instead of waiting forever.
+class CacheClaim {
+public:
+  CacheClaim(ResultCache &Cache, const CanonicalQuery &Q)
+      : Cache(&Cache), Q(Q) {}
+  CacheClaim(const CacheClaim &) = delete;
+  CacheClaim &operator=(const CacheClaim &) = delete;
+  ~CacheClaim() {
+    if (Cache)
+      Cache->abandon(Q);
+  }
+
+  void publish(core::Verdict V) {
+    Cache->insert(Q, V);
+    Cache = nullptr;
+  }
+
+private:
+  ResultCache *Cache;
+  const CanonicalQuery &Q;
+};
+
 } // namespace
 
 BatchProver::BatchProver(BatchOptions Opts)
@@ -122,12 +147,15 @@ QueryResult BatchProver::proveOne(const core::ProofTask &Task,
     ScopedTimer ST(PH.Canon);
     return CanonicalQuery::of(*P.Value);
   }();
+  // Single flight: a miss claims the key, so a concurrent duplicate
+  // waits here for this worker's verdict instead of proving it again.
+  std::optional<CacheClaim> Claim;
   if (Opts.CacheEnabled) {
     std::optional<core::Verdict> Hit;
     {
       obs::TraceSpan Span("cache-lookup");
       ScopedTimer ST(PH.CacheNs, &W.CacheSeconds);
-      Hit = Cache.lookup(Q);
+      Hit = Cache.lookupOrClaim(Q);
       Span.arg("hit", static_cast<uint64_t>(Hit.has_value()));
     }
     if (Hit) {
@@ -135,6 +163,7 @@ QueryResult BatchProver::proveOne(const core::ProofTask &Task,
       Out.FromCache = true;
       return Out;
     }
+    Claim.emplace(Cache, Q);
   }
 
   // Rewind the parse-local terms and re-materialize the canonical form
@@ -228,10 +257,10 @@ QueryResult BatchProver::proveOne(const core::ProofTask &Task,
     W.Tally.FuelUsed += Out.FuelUsed;
   }
 
-  if (Opts.CacheEnabled) {
+  if (Claim) {
     obs::TraceSpan Span("cache-insert");
     ScopedTimer ST(PH.CacheNs, &W.CacheSeconds);
-    Cache.insert(Q, Out.V);
+    Claim->publish(Out.V);
   }
   return Out;
 }

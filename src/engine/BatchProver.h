@@ -28,6 +28,17 @@
 /// cost. Results are reported in input order; a `--jobs=8` run is
 /// byte-identical to a sequential one.
 ///
+/// The cache lookup is single-flight (ResultCache::lookupOrClaim): a
+/// miss claims its canonical key, and a worker that meets the key
+/// while the claim is open waits for the claimant's verdict — the
+/// verdict it would have computed itself, since verdicts are a pure
+/// function of the key — instead of proving it again. Such a wait
+/// counts as a cache hit, and its time is cache time. So each key is
+/// proved once per run at any `--jobs`: BatchStats::CacheMisses is the
+/// number of distinct canonical keys proved and CacheHits the rest. A
+/// claim that ends without a verdict (the backend path's ParseError
+/// return, an exception) is abandoned, and one waiter takes it over.
+///
 /// The engine can also discharge tasks through any
 /// core::EntailmentBackend (BatchOptions::Backend): the Berdine and
 /// unfolding baselines, or the racing portfolio. Those paths still
@@ -129,6 +140,8 @@ struct BatchStats {
   double Seconds = 0;
   size_t Queries = 0;
   size_t Valid = 0, Invalid = 0, Unknown = 0, ParseErrors = 0;
+  /// Hits include waits on another worker's in-flight proof of the
+  /// same key; misses are the distinct keys this run proved.
   uint64_t CacheHits = 0, CacheMisses = 0;
   /// Queries the static pre-solver decided (mirrored to the
   /// analysis.presolved.* counters; PresolveSeconds includes the

@@ -34,24 +34,77 @@ ResultCache::ResultCache(Options Opts)
   }
 }
 
-std::optional<core::Verdict> ResultCache::lookup(const CanonicalQuery &Q) {
-  Shard &S = shardFor(Q.hash());
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto It = S.Map.find(Q.key());
-  if (It == S.Map.end()) {
-    ++S.Misses;
-    MissesMetric.inc();
+std::optional<core::Verdict> ResultCache::hitLocked(Shard &S,
+                                                    const std::string &Key) {
+  auto It = S.Map.find(Key);
+  if (It == S.Map.end())
     return std::nullopt;
-  }
   ++S.Hits;
   HitsMetric.inc();
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
   return It->second->second;
 }
 
+std::optional<core::Verdict> ResultCache::lookup(const CanonicalQuery &Q) {
+  Shard &S = shardFor(Q.hash());
+  std::lock_guard<std::mutex> Lock(S.M);
+  if (std::optional<core::Verdict> Hit = hitLocked(S, Q.key()))
+    return Hit;
+  ++S.Misses;
+  MissesMetric.inc();
+  return std::nullopt;
+}
+
+std::optional<core::Verdict>
+ResultCache::lookupOrClaim(const CanonicalQuery &Q) {
+  Shard &S = shardFor(Q.hash());
+  std::unique_lock<std::mutex> Lock(S.M);
+  for (;;) {
+    if (std::optional<core::Verdict> Hit = hitLocked(S, Q.key()))
+      return Hit;
+    auto [It, Claimed] =
+        S.Pending.try_emplace(Q.key(), std::make_shared<InFlight>());
+    if (Claimed) {
+      ++S.Misses;
+      MissesMetric.inc();
+      return std::nullopt;
+    }
+    // Another caller is computing this key: wait for its verdict. The
+    // slot outlives its Pending entry, and its verdict survives an
+    // eviction of the LRU entry insert() made.
+    std::shared_ptr<InFlight> Slot = It->second;
+    S.Ready.wait(Lock, [&Slot] { return Slot->Done; });
+    if (Slot->V) {
+      ++S.Hits;
+      HitsMetric.inc();
+      return Slot->V;
+    }
+    // Abandoned: retry. The first waiter back under the lock claims the
+    // key; the others wait on its claim.
+  }
+}
+
+void ResultCache::settle(Shard &S, const std::string &Key,
+                         std::optional<core::Verdict> V) {
+  auto It = S.Pending.find(Key);
+  if (It == S.Pending.end())
+    return;
+  It->second->V = V;
+  It->second->Done = true;
+  S.Pending.erase(It);
+  S.Ready.notify_all();
+}
+
+void ResultCache::abandon(const CanonicalQuery &Q) {
+  Shard &S = shardFor(Q.hash());
+  std::lock_guard<std::mutex> Lock(S.M);
+  settle(S, Q.key(), std::nullopt);
+}
+
 void ResultCache::insert(const CanonicalQuery &Q, core::Verdict V) {
   Shard &S = shardFor(Q.hash());
   std::lock_guard<std::mutex> Lock(S.M);
+  settle(S, Q.key(), V);
   if (S.Map.count(Q.key()))
     return; // Racing duplicate; identical by construction.
   while (S.Lru.size() >= S.Cap) {

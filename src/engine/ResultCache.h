@@ -10,11 +10,26 @@
 /// proving, so duplicate and alpha-equivalent queries in a corpus are
 /// answered without re-running the prover.
 ///
+/// Single flight: lookupOrClaim() makes the first caller that misses
+/// on a key its *claimant*; a later caller for the same key blocks
+/// until the claimant publishes the verdict with insert() (and then
+/// takes that verdict as a hit) or gives the key up with abandon()
+/// (and then one waiter claims it). So a key is proved once however
+/// many workers ask for it at the same time: misses count the distinct
+/// keys proved, and hits count every other lookup, waits on an
+/// in-flight key included. A waiter takes the verdict from the
+/// in-flight slot itself, so an eviction between the insert and the
+/// waiter's wake-up cannot turn the hit back into a miss. Waits cannot
+/// deadlock as long as no caller calls lookupOrClaim() while it holds
+/// a claim (BatchProver's workers end each claim before their next
+/// lookup). The plain lookup() neither claims nor waits.
+///
 /// Sharding: the key's precomputed hash selects one of NumShards
 /// independent shards, each with its own mutex, map, and LRU list, so
 /// concurrent workers rarely contend on the same lock. Eviction is
 /// per-shard least-recently-used with a per-shard capacity derived
-/// from the total MaxEntries bound.
+/// from the total MaxEntries bound. Each shard keeps its in-flight
+/// claims and the condition variable its waiters sleep on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +40,7 @@
 #include "engine/CanonicalKey.h"
 #include "obs/Metrics.h"
 
+#include <condition_variable>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -67,10 +83,23 @@ public:
   /// nullopt on a miss. Thread safe.
   std::optional<core::Verdict> lookup(const CanonicalQuery &Q);
 
+  /// Single-flight lookup: returns the memoized verdict for \p Q, or
+  /// the verdict of a concurrent claimant of \p Q after waiting for it
+  /// (both count as hits). Otherwise the caller becomes the claimant of
+  /// \p Q (one miss) and nullopt is returned; the claimant must end
+  /// its claim with insert() or abandon(). Thread safe.
+  std::optional<core::Verdict> lookupOrClaim(const CanonicalQuery &Q);
+
+  /// Releases a claim on \p Q without a verdict; one waiter on \p Q
+  /// (if any) then becomes its claimant. A no-op when \p Q is not
+  /// claimed. Thread safe.
+  void abandon(const CanonicalQuery &Q);
+
   /// Memoizes \p V for \p Q, evicting the shard's least recently used
-  /// entry when full. A racing duplicate insert is a no-op (first
-  /// writer wins; verdicts for one key are identical by construction).
-  /// Thread safe.
+  /// entry when full, and hands \p V to every waiter on a claim of
+  /// \p Q (ending the claim). A racing duplicate insert is a no-op
+  /// (first writer wins; verdicts for one key are identical by
+  /// construction). Thread safe.
   void insert(const CanonicalQuery &Q, core::Verdict V);
 
   /// Snapshot of the aggregated counters. Thread safe.
@@ -84,9 +113,18 @@ public:
   /// of one slot per shard.
   size_t capacity() const;
 
+  /// Drops every memoized entry. In-flight claims stay claimed.
   void clear();
 
 private:
+  /// One claimed key's rendezvous: set Done (with V on insert, without
+  /// on abandon) and notify the shard's Ready. Waiters keep the slot
+  /// alive after the claim leaves the shard's Pending map.
+  struct InFlight {
+    std::optional<core::Verdict> V;
+    bool Done = false;
+  };
+
   struct Shard {
     mutable std::mutex M;
     /// Front = most recently used. Node addresses are stable, so the
@@ -95,6 +133,9 @@ private:
     std::unordered_map<std::string_view,
                        std::list<std::pair<std::string, core::Verdict>>::iterator>
         Map;
+    /// Claimed keys whose verdict is being computed.
+    std::unordered_map<std::string, std::shared_ptr<InFlight>> Pending;
+    std::condition_variable Ready;
     uint64_t Hits = 0, Misses = 0, Insertions = 0, Evictions = 0;
     /// This shard's entry bound (immutable after construction).
     size_t Cap = 1;
@@ -103,6 +144,16 @@ private:
   Shard &shardFor(uint64_t Hash) {
     return *Shards[Hash % Shards.size()];
   }
+
+  /// Returns \p Key's memoized verdict and refreshes its LRU slot,
+  /// counting a hit; nullopt (nothing counted) when absent. Requires
+  /// S.M held.
+  std::optional<core::Verdict> hitLocked(Shard &S, const std::string &Key);
+
+  /// Ends the claim on \p Key in \p S (if any), handing its waiters
+  /// \p V; nullopt abandons. Requires S.M held.
+  static void settle(Shard &S, const std::string &Key,
+                     std::optional<core::Verdict> V);
 
   std::vector<std::unique_ptr<Shard>> Shards;
 

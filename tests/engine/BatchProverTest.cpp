@@ -96,9 +96,9 @@ TEST(BatchProver, DuplicatedCorpusHitsCache) {
   for (int Rep = 0; Rep != 4; ++Rep)
     Corpus.insert(Corpus.end(), Base.begin(), Base.end());
 
-  // One job: with racing workers two first-occurrences of one key can
-  // legitimately both miss, so exact hit accounting needs sequential.
   // Presolve off: statically decided queries never reach the cache.
+  // (DuplicatedCorpusAccountingIsExactAtAnyJobs checks the same corpus
+  // with racing workers.)
   BatchOptions Opts;
   Opts.Jobs = 1;
   Opts.Presolve = false;
@@ -113,6 +113,41 @@ TEST(BatchProver, DuplicatedCorpusHitsCache) {
   // Repeats agree with the first occurrence.
   for (size_t I = Base.size(); I != Corpus.size(); ++I)
     EXPECT_EQ(Results[I].V, Results[I % Base.size()].V);
+}
+
+TEST(BatchProver, DuplicatedCorpusAccountingIsExactAtAnyJobs) {
+  std::vector<std::string> Base = makeCorpus(10, /*Seed=*/3);
+  std::vector<std::string> Corpus;
+  for (int Rep = 0; Rep != 4; ++Rep)
+    Corpus.insert(Corpus.end(), Base.begin(), Base.end());
+
+  // Single flight: racing copies of one key wait for its one proof, so
+  // misses count the distinct keys at every job count and every other
+  // query is a hit.
+  std::vector<std::string> Reference;
+  uint64_t ReferenceMisses = 0;
+  for (unsigned Jobs : {1u, 2u, 4u}) {
+    BatchOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Presolve = false;
+    BatchProver Engine(Opts);
+    std::vector<std::string> Verdicts;
+    for (const QueryResult &R : Engine.run(Corpus))
+      Verdicts.push_back(R.verdictText());
+
+    const BatchStats &S = Engine.stats();
+    EXPECT_EQ(S.CacheMisses, Engine.cache().stats().Insertions)
+        << "jobs=" << Jobs;
+    EXPECT_EQ(S.CacheHits + S.CacheMisses, Corpus.size()) << "jobs=" << Jobs;
+    if (Jobs == 1) {
+      Reference = Verdicts;
+      ReferenceMisses = S.CacheMisses;
+      continue;
+    }
+    EXPECT_EQ(S.CacheMisses, ReferenceMisses) << "jobs=" << Jobs;
+    EXPECT_EQ(Verdicts, Reference) << "jobs=" << Jobs;
+  }
+  EXPECT_LE(ReferenceMisses, Base.size());
 }
 
 TEST(BatchProver, CacheOffNeverHits) {

@@ -6,7 +6,8 @@
 ///
 /// The memoizing entailment cache: canonical key construction
 /// (alpha-invariance, symmetric-atom orientation, normalizations),
-/// hit/miss accounting, LRU eviction, and concurrent access.
+/// hit/miss accounting, LRU eviction, concurrent access, and the
+/// single-flight claim/wait protocol.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 using namespace slp;
@@ -34,6 +37,14 @@ protected:
     return CanonicalQuery::of(*P.Value);
   }
 };
+
+/// Long enough for started threads to block on a claimed key. Nothing
+/// below depends on it for correctness: a claimed key can never be
+/// answered before its claim ends, and a late waiter sees the same
+/// outcome as an early one.
+void letWaitersBlock() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
 
 } // namespace
 
@@ -243,4 +254,153 @@ TEST_F(ResultCacheTest, ConcurrentMixedAccessIsSafe) {
   EXPECT_EQ(S.Hits + S.Misses, 4u * 200u);
   for (const CanonicalQuery &Q : Queries)
     EXPECT_TRUE(Cache.lookup(Q).has_value());
+}
+
+TEST_F(ResultCacheTest, ClaimThenInsertIsOneMiss) {
+  ResultCache Cache;
+  CanonicalQuery Q = canon("next(x, y) |- lseg(x, y)");
+  EXPECT_FALSE(Cache.lookupOrClaim(Q).has_value());
+  Cache.insert(Q, core::Verdict::Valid);
+  std::optional<core::Verdict> Hit = Cache.lookupOrClaim(Q);
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_EQ(*Hit, core::Verdict::Valid);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Insertions, 1u);
+}
+
+TEST_F(ResultCacheTest, PlainLookupNeitherClaimsNorWaits) {
+  ResultCache Cache;
+  CanonicalQuery Q = canon("next(x, y) |- lseg(x, y)");
+  EXPECT_FALSE(Cache.lookupOrClaim(Q).has_value());
+  // The key is claimed but has no verdict yet: a plain lookup misses at
+  // once, as it did before claims existed.
+  EXPECT_FALSE(Cache.lookup(Q).has_value());
+  Cache.insert(Q, core::Verdict::Invalid);
+  EXPECT_EQ(Cache.lookup(Q), core::Verdict::Invalid);
+  EXPECT_EQ(Cache.stats().Misses, 2u);
+}
+
+TEST_F(ResultCacheTest, WaiterReceivesClaimantsVerdictAsHit) {
+  ResultCache Cache;
+  CanonicalQuery Q = canon("x != y & lseg(x, y) |- lseg(x, y)");
+  ASSERT_FALSE(Cache.lookupOrClaim(Q).has_value());
+
+  std::atomic<bool> Returned{false};
+  std::optional<core::Verdict> Got;
+  std::thread Waiter([&] {
+    Got = Cache.lookupOrClaim(Q);
+    Returned = true;
+  });
+  letWaitersBlock();
+  EXPECT_FALSE(Returned) << "a claimed key was answered before its verdict";
+  Cache.insert(Q, core::Verdict::Valid);
+  Waiter.join();
+
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(*Got, core::Verdict::Valid);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.Insertions, 1u);
+}
+
+TEST_F(ResultCacheTest, AbandonHandsTheClaimToExactlyOneWaiter) {
+  ResultCache Cache;
+  CanonicalQuery Q = canon("next(x, y) * next(y, z) |- lseg(x, z)");
+  ASSERT_FALSE(Cache.lookupOrClaim(Q).has_value());
+
+  constexpr int NumWaiters = 4;
+  std::atomic<int> Returned{0}, NewClaimants{0};
+  std::vector<std::optional<core::Verdict>> Got(NumWaiters);
+  std::vector<std::thread> Waiters;
+  for (int I = 0; I != NumWaiters; ++I)
+    Waiters.emplace_back([&, I] {
+      Got[I] = Cache.lookupOrClaim(Q);
+      if (!Got[I]) {
+        // This waiter now owns the key and must end its claim.
+        ++NewClaimants;
+        Cache.insert(Q, core::Verdict::Invalid);
+      }
+      ++Returned;
+    });
+  letWaitersBlock();
+  EXPECT_EQ(Returned, 0) << "a claimed key was answered before its verdict";
+  Cache.abandon(Q);
+  for (std::thread &T : Waiters)
+    T.join(); // A waiter left hanging would hang the test here.
+
+  EXPECT_EQ(NewClaimants, 1);
+  for (const std::optional<core::Verdict> &V : Got)
+    EXPECT_EQ(V.value_or(core::Verdict::Invalid), core::Verdict::Invalid);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, 2u); // The first claim and its successor.
+  EXPECT_EQ(S.Hits, static_cast<uint64_t>(NumWaiters - 1));
+  EXPECT_EQ(S.Insertions, 1u);
+}
+
+TEST_F(ResultCacheTest, WaiterKeepsVerdictEvictedBeforeItWakes) {
+  ResultCache::Options Opts;
+  Opts.NumShards = 1;
+  Opts.MaxEntries = 1; // The next insert evicts the claimed key's entry.
+  ResultCache Cache(Opts);
+  CanonicalQuery Q = canon("next(x, y) |- lseg(x, y)");
+  CanonicalQuery Other = canon("lseg(x, y) |- next(x, y)");
+  ASSERT_FALSE(Cache.lookupOrClaim(Q).has_value());
+
+  std::optional<core::Verdict> Got;
+  std::thread Waiter([&] { Got = Cache.lookupOrClaim(Q); });
+  letWaitersBlock();
+  // Publish and evict back to back: the waiter usually wakes only after
+  // the eviction. Either order must hand it the published verdict.
+  Cache.insert(Q, core::Verdict::Valid);
+  Cache.insert(Other, core::Verdict::Invalid);
+  Waiter.join();
+
+  ASSERT_TRUE(Got.has_value()) << "the eviction turned a wait into a miss";
+  EXPECT_EQ(*Got, core::Verdict::Valid);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Evictions, 1u);
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_FALSE(Cache.lookup(Q).has_value()) << "Q should have been evicted";
+}
+
+TEST_F(ResultCacheTest, ConcurrentClaimsProveEachKeyOnce) {
+  ResultCache Cache;
+  std::vector<CanonicalQuery> Queries;
+  for (int I = 0; I != 8; ++I) {
+    std::string Q = "x != y |- ";
+    for (int J = 0; J != I + 1; ++J)
+      Q += (J ? " * next(x, y)" : "next(x, y)");
+    Queries.push_back(canon(Q.c_str()));
+  }
+
+  std::atomic<int> Claims{0}, Published{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&, T] {
+      for (int Round = 0; Round != 100; ++Round) {
+        const CanonicalQuery &Q = Queries[(T * 3 + Round) % Queries.size()];
+        if (!Cache.lookupOrClaim(Q)) {
+          ++Claims;
+          if (Round % 5 == 0) {
+            Cache.abandon(Q); // Leave it for another thread.
+          } else {
+            Cache.insert(Q, core::Verdict::Valid);
+            ++Published;
+          }
+        }
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Hits + S.Misses, 4u * 100u);
+  EXPECT_EQ(S.Misses, static_cast<uint64_t>(Claims.load()));
+  // No key was proved while another claim on it was open.
+  EXPECT_EQ(static_cast<uint64_t>(Published.load()), S.Entries);
+  EXPECT_LE(S.Entries, Queries.size());
 }
