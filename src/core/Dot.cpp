@@ -53,11 +53,14 @@ std::string core::proofToDot(const sup::Saturation &Sat,
     } else {
       OS << "  c" << Id << " [shape=ellipse, label=\"[" << Id << "] "
          << escape(Text) << "\\n" << sup::ruleKindName(J.Kind)
-         << "\"];\n";
+         << (J.NumCut ? " + cut" : "") << "\"];\n";
     }
-    for (uint32_t Parent : J.Parents) {
-      OS << "  c" << Parent << " -> c" << Id << ";\n";
-      Stack.push_back(Parent);
+    // The trailing NumCut parents are the units cut from the clause.
+    const size_t NumRule = J.Parents.size() - J.NumCut;
+    for (size_t I = 0; I != J.Parents.size(); ++I) {
+      OS << "  c" << J.Parents[I] << " -> c" << Id
+         << (I < NumRule ? ";\n" : " [style=dashed, label=\"cut\"];\n");
+      Stack.push_back(J.Parents[I]);
     }
   }
   OS << "}\n";

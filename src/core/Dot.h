@@ -25,7 +25,8 @@ namespace core {
 
 /// Renders the derivation DAG of \p RootId: input clauses are boxes
 /// annotated with their SL-level provenance, derived clauses ellipses
-/// labelled with their rule; edges point premise -> conclusion.
+/// labelled with their rule ("+ cut" when units were cut from them);
+/// edges point premise -> conclusion, dashed from a cut unit.
 std::string proofToDot(const sup::Saturation &Sat,
                        const std::vector<std::string> &Labels,
                        uint32_t RootId);

@@ -34,10 +34,21 @@ void visit(const sup::Saturation &Sat, const std::vector<std::string> &Labels,
     if (J.ExternalTag != ~0u && J.ExternalTag < Labels.size())
       OS << ": " << Labels[J.ExternalTag];
   } else {
-    OS << ruleKindName(J.Kind) << '(';
-    for (size_t I = 0; I != J.Parents.size(); ++I)
-      OS << (I ? ", " : "") << J.Parents[I];
-    OS << ')';
+    // The rule's premises, then the units cut from its conclusion:
+    // e.g. "sup-left(248, 6) cut(5)".
+    auto List = [&OS](std::span<const uint32_t> Ids) {
+      OS << '(';
+      for (size_t I = 0; I != Ids.size(); ++I)
+        OS << (I ? ", " : "") << Ids[I];
+      OS << ')';
+    };
+    const size_t NumRule = J.Parents.size() - J.NumCut;
+    OS << ruleKindName(J.Kind);
+    List(J.Parents.first(NumRule));
+    if (J.NumCut) {
+      OS << " cut";
+      List(J.Parents.subspan(NumRule));
+    }
   }
   Step.RuleText = OS.str();
   Out.push_back(std::move(Step));

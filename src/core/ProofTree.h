@@ -28,7 +28,9 @@ namespace core {
 struct ProofStep {
   uint32_t ClauseId;
   std::string ClauseText;
-  std::string RuleText; ///< e.g. "sup-left(3, 5)" or "input: W4 on ...".
+  /// e.g. "sup-left(3, 5)", "sup-left(3, 5) cut(2)" (the units cut
+  /// from the conclusion) or "input: W4 on ...".
+  std::string RuleText;
 };
 
 /// Topologically ordered derivation of \p RootId (premises first).

@@ -20,8 +20,6 @@ const char *slp::sup::ruleKindName(RuleKind K) {
     return "sup-left";
   case RuleKind::SupRight:
     return "sup-right";
-  case RuleKind::EqRes:
-    return "eq-res";
   case RuleKind::EqFact:
     return "eq-fact";
   case RuleKind::Demod:
@@ -37,6 +35,7 @@ static void canonicalize(std::vector<Equation> &Eqs) {
 
 Clause::Clause(std::vector<Equation> Neg, std::vector<Equation> Pos)
     : NegEqs(std::move(Neg)), PosEqs(std::move(Pos)) {
+  std::erase_if(NegEqs, [](const Equation &E) { return E.trivial(); });
   canonicalize(NegEqs);
   canonicalize(PosEqs);
   Hash = hashOf(NegEqs, PosEqs);
@@ -227,8 +226,11 @@ uint64_t Conclusion::build(std::vector<Equation> &Neg,
                            std::vector<Equation> &Pos) const {
   const PremiseShare &P = Premises[0];
   const PremiseShare Q = NumPremises > 1 ? Premises[1] : PremiseShare{};
+  // Premise sides are canonical, so a trivial antecedent can only be
+  // the new literal.
+  const bool KeepNewNeg = NewNegative && New && !New->trivial();
   mergeSide(P.Neg, P.DropNeg, Q.Neg, Q.DropNeg,
-            NewNegative ? New : std::nullopt, Neg);
+            KeepNewNeg ? New : std::nullopt, Neg);
   mergeSide(P.Pos, P.DropPos, Q.Pos, Q.DropPos,
             NewNegative ? std::nullopt : New, Pos);
   return Clause::hashOf(Neg, Pos);

@@ -33,7 +33,6 @@ enum class RuleKind : uint8_t {
   Input,         ///< Supplied by the SL layer (cnf, N, W, U/SR).
   SupLeft,       ///< Superposition into a negative literal.
   SupRight,      ///< Superposition into a positive literal.
-  EqRes,         ///< Equality resolution (reflexivity).
   EqFact,        ///< Equality factoring.
   Demod,         ///< Demodulation by unit equations.
 };
@@ -50,6 +49,9 @@ struct Justification {
   /// Opaque tag the SL layer uses to attach its own provenance to
   /// Input clauses (e.g. "derived by W4 from clause C").
   uint32_t ExternalTag = ~0u;
+  /// How many trailing Parents are negative units s ' t -> whose
+  /// literal s ' t was cut from the rule's conclusion (unit cut).
+  unsigned NumCut = 0;
 };
 
 /// An immutable pure clause in canonical form. Clauses are the
@@ -58,7 +60,9 @@ struct Justification {
 /// flat pool. Long-lived code reads clauses back as ClauseViews.
 class Clause {
 public:
-  /// Builds the canonical form: sorts and deduplicates both sides.
+  /// Builds the canonical form: drops trivial antecedents s ' s (false
+  /// in every interpretation as a negative literal), then sorts and
+  /// deduplicates both sides.
   Clause(std::vector<Equation> Neg, std::vector<Equation> Pos);
 
   /// Equations occurring negatively (the set Γ).
@@ -176,9 +180,9 @@ struct Conclusion {
   /// origins can clash.
   bool tautology() const;
 
-  /// Writes the canonical sides (sorted, deduplicated) into \p Neg and
-  /// \p Pos, and returns the fingerprint — both exactly what
-  /// Clause(Neg, Pos) would hold.
+  /// Writes the canonical sides (sorted, deduplicated, a trivial
+  /// negative New dropped) into \p Neg and \p Pos, and returns the
+  /// fingerprint — both exactly what Clause(Neg, Pos) would hold.
   uint64_t build(std::vector<Equation> &Neg, std::vector<Equation> &Pos) const;
 };
 

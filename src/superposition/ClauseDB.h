@@ -15,7 +15,8 @@
 ///   - one contiguous Equation arena shared by every clause, with
 ///     per-clause (offset, neg length, pos length) records,
 ///   - a fixed-width 24-byte record array (offsets, lengths,
-///     fingerprint, deleted flag, rule kind) the inner loops scan,
+///     fingerprint, deleted flag, rule kind, cut-unit count) the inner
+///     loops scan,
 ///   - one parents arena holding every clause's premise ids (an Input
 ///     clause's single entry is its external tag), so provenance costs
 ///     no heap block per clause,
@@ -49,16 +50,18 @@ namespace sup {
 class ClauseDB {
 public:
   /// Copies \p C's canonical equations into the arena and its
-  /// provenance (\p Parents, or \p ExternalTag for an Input clause)
-  /// into the parents arena; files it in the fingerprint table and
-  /// returns the new clause's id.
+  /// provenance (\p Parents, the last \p NumCut of them cut units, or
+  /// \p ExternalTag for an Input clause) into the parents arena; files
+  /// it in the fingerprint table and returns the new clause's id.
   uint32_t append(ClauseView C, RuleKind Kind,
-                  std::span<const uint32_t> Parents,
+                  std::span<const uint32_t> Parents, uint32_t NumCut = 0,
                   uint32_t ExternalTag = ~0u) {
     assert(C.neg().size() <= UINT16_MAX && C.pos().size() <= UINT16_MAX &&
            "clause wider than the record format");
     assert((Kind == RuleKind::Input) == Parents.empty() &&
            "input clauses have no parents, derived ones do");
+    assert((NumCut == 0 || NumCut < Parents.size()) && NumCut <= UINT16_MAX &&
+           "cut units follow the rule's premises");
     uint32_t Id = static_cast<uint32_t>(Hot.size());
     Record R;
     R.EqOff = static_cast<uint32_t>(EqPool.size());
@@ -67,6 +70,7 @@ public:
     R.Hash = C.fingerprint();
     R.ParentOff = static_cast<uint32_t>(ParentPool.size());
     R.Kind = Kind;
+    R.NumCut = static_cast<uint16_t>(NumCut);
     EqPool.insert(EqPool.end(), C.neg().begin(), C.neg().end());
     EqPool.insert(EqPool.end(), C.pos().begin(), C.pos().end());
     if (Kind == RuleKind::Input)
@@ -108,10 +112,15 @@ public:
   Justification justification(uint32_t Id) const {
     const Record &R = Hot[Id];
     if (R.Kind == RuleKind::Input)
-      return {RuleKind::Input, {}, ParentPool[R.ParentOff]};
+      return {.Kind = RuleKind::Input,
+              .Parents = {},
+              .ExternalTag = ParentPool[R.ParentOff]};
     const size_t End =
         Id + 1 < Hot.size() ? Hot[Id + 1].ParentOff : ParentPool.size();
-    return {R.Kind, {ParentPool.data() + R.ParentOff, End - R.ParentOff}};
+    return {.Kind = R.Kind,
+            .Parents = {ParentPool.data() + R.ParentOff, End - R.ParentOff},
+            .ExternalTag = ~0u,
+            .NumCut = R.NumCut};
   }
 
   /// The id of the clause equal to \p C among those in the fingerprint
@@ -160,8 +169,9 @@ public:
 
 private:
   /// Per-clause record: everything the saturation inner loops
-  /// (subsumption, demodulation, ordering) read, plus the rule kind and
-  /// parents offset in what would otherwise be padding. 24 bytes —
+  /// (subsumption, demodulation, ordering) read, plus the provenance
+  /// (parents offset, rule kind, cut-unit count) in what would
+  /// otherwise be padding. 24 bytes —
   /// nearly 3 records per cache line, where the old ClauseEntry was
   /// 100+ bytes across four allocations.
   struct Record {
@@ -172,6 +182,7 @@ private:
     uint32_t ParentOff; ///< First entry in the parents arena.
     RuleKind Kind = RuleKind::Input;
     bool Deleted = false;
+    uint16_t NumCut = 0; ///< Trailing parents that are cut units.
   };
   static_assert(sizeof(Record) == 24, "keep the record at 24 bytes");
 

@@ -125,7 +125,8 @@ ProofCheckResult sup::checkDerivation(const Saturation &Sat, uint32_t RootId,
       Result.Ok = false;
       std::ostringstream OS;
       OS << "step [" << Id << "] " << C.str(Sat.terms()) << " by "
-         << ruleKindName(J.Kind) << " does not follow from its premises";
+         << ruleKindName(J.Kind) << (J.NumCut ? " + cut" : "")
+         << " does not follow from its premises";
       Result.Error = OS.str();
       return Result;
     }

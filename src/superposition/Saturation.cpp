@@ -25,6 +25,7 @@ void Saturation::clear() {
   EmptyClauseId.reset();
   Demod.clear();
   DemodOwned.clear();
+  NegUnits.clear();
   DemodIdx.clear();
   Sigs.clear();
   LitIdx.clear();
@@ -76,10 +77,15 @@ Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
     ++Stats.SubsumedFwd;
     return {~0u, false};
   }
-  return {store(C, Sig, RuleKind::Input, {}, ExternalTag), true};
+  return {store(C, Sig, RuleKind::Input, {}, 0, ExternalTag), true};
 }
 
 namespace {
+
+/// The key of \p E in the negative-unit map.
+uint64_t unitKey(const Equation &E) {
+  return static_cast<uint64_t>(E.lhs()->id()) << 32 | E.rhs()->id();
+}
 
 /// The reference Conclusion::tautology() must agree with: build the
 /// conclusion, then test it.
@@ -119,6 +125,27 @@ void Saturation::keepConclusion(const Conclusion &C, RuleKind Kind,
 
 void Saturation::keepNonTautology(ClauseView C, RuleKind Kind,
                                   std::span<const uint32_t> Parents) {
+  // Unit cut: a live s ' t -> refutes s ' t in ∆, so C without it
+  // follows from C and the unit, and subsumes C. Cut units are
+  // appended to the parents, which keeps the step auditable.
+  uint32_t NumCut = 0;
+  if (!NegUnits.empty()) {
+    CutPos.clear();
+    CutParents.assign(Parents.begin(), Parents.end());
+    for (const Equation &E : C.pos()) {
+      auto It = NegUnits.find(unitKey(E));
+      if (It == NegUnits.end())
+        CutPos.push_back(E);
+      else
+        CutParents.push_back(It->second);
+    }
+    NumCut = static_cast<uint32_t>(CutParents.size() - Parents.size());
+    if (NumCut) {
+      Stats.Cut += NumCut;
+      C = ClauseView(C.neg(), CutPos, Clause::hashOf(C.neg(), CutPos));
+      Parents = CutParents;
+    }
+  }
   const ClauseSignature Sig = ClauseSignature::of(C);
   if (uint32_t By = forwardSubsumer(C, Sig); By != ~0u) {
     // A subsumer as wide as C equals C: a live duplicate, which leaves
@@ -148,7 +175,7 @@ void Saturation::keepNonTautology(ClauseView C, RuleKind Kind,
     }
     return;
   }
-  store(C, Sig, Kind, Parents);
+  store(C, Sig, Kind, Parents, NumCut);
   ++Stats.Kept;
 }
 
@@ -163,10 +190,10 @@ void Saturation::revive(uint32_t Id) {
 
 uint32_t Saturation::store(ClauseView C, const ClauseSignature &Sig,
                            RuleKind Kind, std::span<const uint32_t> Parents,
-                           uint32_t ExternalTag) {
+                           uint32_t NumCut, uint32_t ExternalTag) {
   const bool Empty = C.empty();
   const uint32_t Size = static_cast<uint32_t>(C.size());
-  const uint32_t Id = DB.append(C, Kind, Parents, ExternalTag);
+  const uint32_t Id = DB.append(C, Kind, Parents, NumCut, ExternalTag);
   Stats.PoolEquations = DB.poolEquations();
   registerClause(Id, Sig);
   Passive.push({Size, Id});
@@ -183,6 +210,8 @@ void Saturation::registerClause(uint32_t Id, const ClauseSignature &Sig) {
   Sigs[Id] = Sig;
   if (indexed())
     LitIdx.insert(Id, DB.view(Id));
+  if (DB.negCount(Id) == 1 && DB.litCount(Id) == 1)
+    NegUnits.emplace(unitKey(DB.equation(Id, 0)), Id);
   ++NumLive;
   if (Opts.IncrementalModel)
     orderedLiveInsert(Id);
@@ -372,6 +401,11 @@ void Saturation::deleteClause(uint32_t Id) {
   }
   if (Opts.IncrementalModel)
     orderedLiveErase(Id);
+  if (DB.negCount(Id) == 1 && DB.litCount(Id) == 1) {
+    auto Unit = NegUnits.find(unitKey(DB.equation(Id, 0)));
+    if (Unit != NegUnits.end() && Unit->second == Id)
+      NegUnits.erase(Unit);
+  }
   auto It = DemodOwned.find(Id);
   if (It == DemodOwned.end())
     return;
@@ -732,7 +766,8 @@ void collectSubtermIds(const Term *T, std::vector<uint32_t> &Out) {
 } // namespace
 
 void Saturation::generateInferences(uint32_t GivenId) {
-  equalityResolution(GivenId);
+  // No equality resolution: canonical clauses carry no trivial
+  // antecedent s ' s for it to remove.
   equalityFactoring(GivenId);
 
   const OrientedLiteral MG = maxLiteral(GivenId);
@@ -859,18 +894,6 @@ void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
     keepConclusion(C, MG.Negative ? RuleKind::SupLeft : RuleKind::SupRight,
                    Parents);
   }
-}
-
-void Saturation::equalityResolution(uint32_t Id) {
-  // Only a maximal trivial negative equation s ' s resolves; with a
-  // unique maximal literal, check just that one.
-  const OrientedLiteral M = maxLiteral(Id);
-  if (!M.Negative || M.Max != M.Min)
-    return;
-  ClauseView V = DB.view(Id);
-  Conclusion C;
-  C.Premises[0] = {V.neg(), V.pos(), Equation(M.Max, M.Min), std::nullopt};
-  keepConclusion(C, RuleKind::EqRes, {&Id, 1});
 }
 
 void Saturation::equalityFactoring(uint32_t Id) {

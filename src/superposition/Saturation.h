@@ -8,7 +8,11 @@
 /// The ground superposition calculus I (Nieuwenhuis-Rubio §3.5,
 /// restricted to ground clauses) with a given-clause saturation loop
 /// and standard redundancy elimination: tautology deletion, forward
-/// and backward subsumption, and demodulation by unit equations.
+/// and backward subsumption, demodulation by unit equations, and two
+/// literal deletions — trivial antecedents s ' s are dropped by the
+/// canonical form (so equality resolution never applies), and a
+/// derived clause loses every positive literal refuted by a live
+/// negative unit (unit cut).
 ///
 /// The engine is incremental: the SLP prover alternates between adding
 /// pure clauses discovered by the spatial rules and re-saturating, as
@@ -74,6 +78,7 @@ struct SaturationStats {
   uint64_t SubsumedFwd = 0;  ///< New clauses killed by old ones.
   uint64_t SubsumedBwd = 0;  ///< Old clauses killed by new ones.
   uint64_t Demodulated = 0;  ///< Rewrites by unit equations.
+  uint64_t Cut = 0;          ///< Literals removed by unit cut.
   uint64_t SubQueries = 0;   ///< Forward + backward subsumption queries.
   uint64_t SubChecks = 0;    ///< Clause pairs tested with subsumes(),
                              ///< subsumer-cache probes included.
@@ -230,9 +235,9 @@ private:
   void keepConclusion(const Conclusion &C, RuleKind Kind,
                       std::span<const uint32_t> Parents);
 
-  /// The keep path of a derived non-tautology: forward subsumption
-  /// first (a live duplicate is a subsumer too), then the fingerprint
-  /// lookup that revives a deleted duplicate, then storage.
+  /// The keep path of a derived non-tautology: unit cut first, then
+  /// forward subsumption (a live duplicate is a subsumer too), then the
+  /// fingerprint lookup that revives a deleted duplicate, then storage.
   void keepNonTautology(ClauseView C, RuleKind Kind,
                         std::span<const uint32_t> Parents);
 
@@ -240,7 +245,6 @@ private:
   /// active partner (both directions), plus unary rules on Given.
   void generateInferences(uint32_t GivenId);
   void superpose(uint32_t FromId, uint32_t IntoId);
-  void equalityResolution(uint32_t Id);
   void equalityFactoring(uint32_t Id);
 
   /// The unique maximal literal of a (canonical, nonempty) clause.
@@ -312,9 +316,9 @@ private:
 
   /// Appends a new clause and makes it live (registered, queued,
   /// backward-subsuming, or recorded as the empty clause); returns its
-  /// id.
+  /// id. The last \p NumCut \p Parents are the units cut from it.
   uint32_t store(ClauseView C, const ClauseSignature &Sig, RuleKind Kind,
-                 std::span<const uint32_t> Parents,
+                 std::span<const uint32_t> Parents, uint32_t NumCut,
                  uint32_t ExternalTag = ~0u);
 
   /// Whether subsumption queries go through the literal index.
@@ -404,6 +408,13 @@ private:
   SubsumerCache SubCache;
   /// Scratch sides of the conclusion being kept (keepConclusion).
   std::vector<Equation> NegScratch, PosScratch;
+  /// The live negative units s ' t ->, keyed by their equation
+  /// (unitKey), for unit cut.
+  std::unordered_map<uint64_t, uint32_t> NegUnits;
+  /// Scratch for a cut clause: its ∆ and its parents (the rule's
+  /// premises, then the cut units).
+  std::vector<Equation> CutPos;
+  std::vector<uint32_t> CutParents;
   /// Live (non-deleted) clause count, for the scan-baseline stats and
   /// the linear fallback.
   size_t NumLive = 0;

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Dot.h"
+#include "core/ProofTree.h"
 #include "core/Prover.h"
 #include "sl/Parser.h"
 
@@ -42,6 +43,34 @@ TEST_F(DotTest, ProofDagIsWellFormedDot) {
   EXPECT_NE(Dot.find("->"), std::string::npos);
   // Labels are escaped: no raw double quote sneaks into a label.
   EXPECT_EQ(Dot.find("\\\""), std::string::npos);
+}
+
+TEST_F(DotTest, CutUnitsRenderDistinctly) {
+  // e -> d rewrites  -> e ' c, a ' b  to  -> d ' c, a ' b, whose two
+  // literals the negative units [0] and [1] then cut to the empty
+  // clause.
+  KBO Ord;
+  sup::Saturation Sat(Terms, Ord);
+  const Term *A = Terms.constant("a"), *B = Terms.constant("b");
+  const Term *C = Terms.constant("c"), *D = Terms.constant("d");
+  const Term *E = Terms.constant("e");
+  Sat.addInput({sup::Equation(A, B)}, {});
+  Sat.addInput({sup::Equation(C, D)}, {});
+  Sat.addInput({}, {sup::Equation(E, D)});
+  Sat.addInput({}, {sup::Equation(E, C), sup::Equation(A, B)});
+  Fuel F;
+  ASSERT_EQ(Sat.saturate(F), sup::SatResult::Unsatisfiable);
+
+  std::string Proof = renderRefutation(Sat, {});
+  EXPECT_NE(Proof.find("[4] []   <- demod(3, 2) cut(0, 1)\n"),
+            std::string::npos)
+      << Proof;
+  std::string Dot = proofToDot(Sat, {}, Sat.emptyClauseId());
+  EXPECT_NE(Dot.find("demod + cut"), std::string::npos) << Dot;
+  EXPECT_NE(Dot.find("c3 -> c4;"), std::string::npos) << Dot;
+  EXPECT_NE(Dot.find("c0 -> c4 [style=dashed, label=\"cut\"];"),
+            std::string::npos)
+      << Dot;
 }
 
 TEST_F(DotTest, CounterModelDotShowsStackAndHeap) {

@@ -58,6 +58,19 @@ TEST_F(ClauseTest, TautologyDetection) {
   EXPECT_FALSE(Clause({Equation(A, B)}, {Equation(B, C)}).isTautology());
 }
 
+TEST_F(ClauseTest, TrivialAntecedentsAreDropped) {
+  // s ' s in Γ is false in every interpretation: the canonical form
+  // leaves it out, fingerprint included.
+  Clause K({Equation(A, A), Equation(A, B), Equation(C, C)}, {Equation(B, C)});
+  EXPECT_EQ(K, Clause({Equation(A, B)}, {Equation(B, C)}));
+  EXPECT_EQ(K.fingerprint(),
+            Clause({Equation(A, B)}, {Equation(B, C)}).fingerprint());
+  EXPECT_TRUE(Clause({Equation(A, A)}, {}).empty());
+  // In ∆ the same literal is still a tautology.
+  EXPECT_TRUE(Clause({Equation(A, B)}, {Equation(C, C)}).isTautology());
+  EXPECT_EQ(Clause({}, {Equation(C, C)}).pos().size(), 1u);
+}
+
 TEST_F(ClauseTest, Subsumption) {
   Clause Small({}, {Equation(A, B)});
   Clause Big({Equation(B, C)}, {Equation(A, B), Equation(A, C)});

@@ -10,7 +10,8 @@
 /// the concatenated literals, and the premise tautology check equals
 /// isTautology() of the built clause — on random premise pairs that
 /// share literals, drop a literal present in both premises, and add a
-/// new literal that is trivial or already present.
+/// new literal that is trivial (on either side: a trivial antecedent is
+/// dropped) or already present.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -147,6 +148,7 @@ protected:
 /// generator cannot silently stop covering them.
 struct Coverage {
   unsigned SharedLiteral = 0, DropInBoth = 0, NewTrivial = 0, NewPresent = 0;
+  unsigned NewTrivialNegative = 0;
   unsigned Tautologies = 0, NonTautologies = 0;
 
   void note(const Conclusion &C) {
@@ -162,8 +164,10 @@ struct Coverage {
       ++DropInBoth;
     if (P.DropPos && Has(P.Pos, *P.DropPos) && Has(Q.Pos, *P.DropPos))
       ++DropInBoth;
-    if (C.New && C.New->trivial())
+    if (C.New && C.New->trivial()) {
       ++NewTrivial;
+      NewTrivialNegative += C.NewNegative;
+    }
     if (C.New && (Has(P.Neg, *C.New) || Has(P.Pos, *C.New) ||
                   Has(Q.Neg, *C.New) || Has(Q.Pos, *C.New)))
       ++NewPresent;
@@ -188,6 +192,7 @@ TEST_F(ConclusionTest, MergedConclusionEqualsClause) {
   EXPECT_GT(Cov.SharedLiteral, 100u);
   EXPECT_GT(Cov.DropInBoth, 100u);
   EXPECT_GT(Cov.NewTrivial, 100u);
+  EXPECT_GT(Cov.NewTrivialNegative, 100u);
   EXPECT_GT(Cov.NewPresent, 100u);
 }
 

@@ -179,7 +179,12 @@ TEST(IncrementalModel, ClearResetsIncrementalState) {
 
 // The replay and reuse counters actually fire on a workload with
 // repeated attempts (they are the point of the optimization), and stay
-// zero with the toggle off.
+// zero with the toggle off. Every round brings constants interned after
+// all earlier ones, hence greater in the precedence, so its clauses
+// order after every clause already live and the replay watermark of
+// the next attempt is past them. Every clause has a positive literal
+// between distinct constants, so the model that identifies all
+// constants satisfies the set and no round ends the run refuted.
 TEST(IncrementalModel, CountersReportAmortization) {
   SymbolTable Symbols;
   TermTable Terms(Symbols);
@@ -190,10 +195,19 @@ TEST(IncrementalModel, CountersReportAmortization) {
   Saturation Inc(Terms, Ord);
   Saturation Scratch(Terms, Ord, ScratchOpts);
   // Several saturate-then-extend rounds over one growing set.
+  int Rounds = 0;
   for (int Round = 0; Round != 6; ++Round) {
+    auto Var = [&](uint64_t I) {
+      return Terms.constant("r" + std::to_string(Round) + "v" +
+                            std::to_string(I));
+    };
     for (unsigned I = 0; I != 8; ++I) {
       std::vector<Equation> Neg, Pos;
-      randomClause(Terms, Rng, 8, Neg, Pos);
+      const uint64_t X = Rng.below(6), Y = (X + 1 + Rng.below(5)) % 6;
+      Pos.emplace_back(Var(X), Var(Y));
+      for (uint64_t L = 0, N = Rng.below(3); L != N; ++L)
+        (Rng.chance(0.5) ? Neg : Pos)
+            .emplace_back(Var(Rng.below(6)), Var(Rng.below(6)));
       Inc.addInput(Neg, Pos);
       Scratch.addInput(Neg, Pos);
     }
@@ -201,9 +215,11 @@ TEST(IncrementalModel, CountersReportAmortization) {
     std::optional<GroundRewriteSystem> MI, MS;
     SatResult RI = Inc.saturateModelGuided(FI, MI);
     (void)Scratch.saturateModelGuided(FS, MS);
+    ++Rounds;
     if (RI == SatResult::Unsatisfiable)
       break;
   }
+  ASSERT_GE(Rounds, 2) << "the workload must repeat model attempts";
   EXPECT_EQ(Inc.stats().ModelAttempts, Scratch.stats().ModelAttempts);
   EXPECT_GT(Inc.stats().ModelAttempts, 1u);
   EXPECT_GT(Inc.stats().GenReplayedFrom, 0u);

@@ -6,6 +6,9 @@
 
 #include "superposition/Saturation.h"
 
+#include "superposition/ProofCheck.h"
+
+#include <array>
 #include <gtest/gtest.h>
 
 using namespace slp;
@@ -22,6 +25,18 @@ protected:
   Fuel Unlimited;
 
   const Term *T(const char *N) { return Terms.constant(N); }
+  const Term *F(const Term *X) {
+    return Terms.make(Symbols.intern("f", 1), std::array<const Term *, 1>{X});
+  }
+
+  /// The id of the stored clause equal to Γ -> ∆, or ~0u.
+  uint32_t find(std::vector<Equation> Neg, std::vector<Equation> Pos) const {
+    const Clause Want(std::move(Neg), std::move(Pos));
+    for (uint32_t Id = 0; Id != Sat.numClauses(); ++Id)
+      if (Sat.clause(Id) == ClauseView(Want))
+        return Id;
+    return ~0u;
+  }
 };
 
 } // namespace
@@ -306,4 +321,91 @@ TEST_F(SaturationTest, CompactionPurgesStaleIndexEntriesAndIsNeutral) {
     EXPECT_TRUE(Sat.clause(Id) == Eager.clause(Id)) << "clause " << Id;
     EXPECT_EQ(Sat.deleted(Id), Eager.deleted(Id)) << "clause " << Id;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Unit cut
+//===----------------------------------------------------------------------===//
+
+// In the unit-cut tests, p < q < a < b < c < k in the creation-order
+// precedence and f(x) outweighs every constant, so b ' a is the maximal
+// literal of  -> b ' a, p ' q  and f(b) ' c is a demodulator. The given
+// clause  -> b ' a, p ' q  superposes into  -> f(b) ' c, concluding
+//  -> f(a) ' c, p ' q.
+
+TEST_F(SaturationTest, UnitCutDropsLiteralRefutedByLiveUnit) {
+  const Term *P = T("p"), *Q = T("q"), *A = T("a"), *B = T("b"), *C = T("c");
+  const uint32_t Unit = Sat.addInput({Equation(F(A), C)}, {}).Id;
+  const uint32_t Into = Sat.addInput({}, {Equation(F(B), C)}).Id;
+  const uint32_t From =
+      Sat.addInput({}, {Equation(B, A), Equation(P, Q)}).Id;
+  EXPECT_EQ(Sat.saturate(Unlimited), SatResult::Saturated);
+
+  // The conclusion was kept without f(a) ' c; the unit ends its parents.
+  EXPECT_EQ(find({}, {Equation(F(A), C), Equation(P, Q)}), ~0u);
+  const uint32_t Cut = find({}, {Equation(P, Q)});
+  ASSERT_NE(Cut, ~0u);
+  const Justification J = Sat.justification(Cut);
+  EXPECT_EQ(J.Kind, RuleKind::SupRight);
+  EXPECT_EQ(J.NumCut, 1u);
+  EXPECT_EQ(std::vector<uint32_t>(J.Parents.begin(), J.Parents.end()),
+            (std::vector<uint32_t>{From, Into, Unit}));
+  EXPECT_EQ(Sat.stats().Cut, 1u);
+}
+
+TEST_F(SaturationTest, UnitCutIgnoresDeletedUnit) {
+  const Term *P = T("p"), *Q = T("q"), *A = T("a"), *B = T("b"), *C = T("c");
+  const Term *K = T("k");
+  // f(a) -> k rewrites the unit to c ' k -> and deletes it before the
+  // superposition concludes  -> f(a) ' c, p ' q.
+  const uint32_t Unit = Sat.addInput({Equation(F(A), C)}, {}).Id;
+  Sat.addInput({}, {Equation(F(A), K)});
+  Sat.addInput({}, {Equation(F(B), C)});
+  Sat.addInput({}, {Equation(B, A), Equation(P, Q)});
+  EXPECT_EQ(Sat.saturate(Unlimited), SatResult::Saturated);
+  EXPECT_TRUE(Sat.deleted(Unit));
+
+  // Nothing cut the conclusion: it was kept whole.
+  const uint32_t Whole = find({}, {Equation(F(A), C), Equation(P, Q)});
+  ASSERT_NE(Whole, ~0u);
+  EXPECT_EQ(Sat.justification(Whole).Kind, RuleKind::SupRight);
+  EXPECT_EQ(Sat.justification(Whole).NumCut, 0u);
+  // Its demodulated form  -> c ' k, p ' q  was cut by the live
+  // rewritten unit instead; the deleted one is cited nowhere.
+  const uint32_t Rewritten = find({Equation(C, K)}, {});
+  ASSERT_NE(Rewritten, ~0u);
+  const Justification J = Sat.justification(find({}, {Equation(P, Q)}));
+  EXPECT_EQ(J.Kind, RuleKind::Demod);
+  ASSERT_EQ(J.NumCut, 1u);
+  EXPECT_EQ(J.Parents.back(), Rewritten);
+  for (uint32_t Id = 0; Id != Sat.numClauses(); ++Id) {
+    const Justification JI = Sat.justification(Id);
+    for (uint32_t Parent : JI.Parents.last(JI.NumCut))
+      EXPECT_NE(Parent, Unit) << "clause " << Id;
+  }
+  EXPECT_EQ(Sat.stats().Cut, 1u);
+}
+
+TEST_F(SaturationTest, RefutationThroughUnitCutAudits) {
+  // Constants only, as the proof checker requires: e -> d rewrites
+  //  -> e ' c, a ' b  to  -> d ' c, a ' b, and the two negative units
+  // cut both of its literals.
+  const Term *A = T("a"), *B = T("b"), *C = T("c"), *D = T("d"), *E = T("e");
+  const uint32_t AB = Sat.addInput({Equation(A, B)}, {}).Id;
+  const uint32_t CD = Sat.addInput({Equation(C, D)}, {}).Id;
+  Sat.addInput({}, {Equation(E, D)});
+  Sat.addInput({}, {Equation(E, C), Equation(A, B)});
+  ASSERT_EQ(Sat.saturate(Unlimited), SatResult::Unsatisfiable);
+
+  // The empty clause follows from the rewritten clause and its
+  // demodulator only together with the two units.
+  const Justification J = Sat.justification(Sat.emptyClauseId());
+  EXPECT_EQ(J.Kind, RuleKind::Demod);
+  ASSERT_EQ(J.NumCut, 2u);
+  EXPECT_EQ(std::vector<uint32_t>(J.Parents.last(2).begin(),
+                                  J.Parents.last(2).end()),
+            (std::vector<uint32_t>{AB, CD}));
+  ProofCheckResult R = checkRefutation(Sat);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_GT(R.StepsChecked, 0u);
 }

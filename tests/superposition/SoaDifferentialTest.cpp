@@ -197,7 +197,7 @@ TEST(SoaDifferentialTest, SearchCountersMatchGolden) {
             Snap << "fuel=" << R.Stats.FuelUsed << " derived=" << St.Derived
                  << " kept=" << St.Kept << " taut=" << St.Tautologies
                  << " fwd=" << St.SubsumedFwd << " bwd=" << St.SubsumedBwd
-                 << " demod=" << St.Demodulated;
+                 << " demod=" << St.Demodulated << " cut=" << St.Cut;
           });
     // Regenerate from the indexed path only; the linear path is then
     // checked against the new file.
