@@ -95,8 +95,7 @@ int main(int argc, char **argv) {
     std::printf(" %14s", "Portfolio");
   std::printf("\n");
 
-  uint64_t SubChecks = 0, SubScan = 0, SubFwd = 0, SubBwd = 0;
-  uint64_t ModelAttempts = 0, GenReplayed = 0, CertSkipped = 0, NfReuse = 0;
+  core::ProveStats Total; // Summed over the SLP column's rows.
   std::map<std::string, uint64_t> PortfolioWins;
   for (const Row &R : Rows) {
     SymbolTable Symbols;
@@ -131,14 +130,7 @@ int main(int argc, char **argv) {
       std::printf(" %14s", cell(Portfolio).c_str());
     std::printf("\n");
     std::fflush(stdout);
-    SubChecks += Slp.SubChecks;
-    SubScan += Slp.SubScanBaseline;
-    SubFwd += Slp.SubsumedFwd;
-    SubBwd += Slp.SubsumedBwd;
-    ModelAttempts += Slp.ModelAttempts;
-    GenReplayed += Slp.GenReplayedFrom;
-    CertSkipped += Slp.CertSkipped;
-    NfReuse += Slp.NfCacheReuse;
+    Total += Slp.Work;
 
     if (Json) {
       Json->beginRow();
@@ -165,10 +157,10 @@ int main(int argc, char **argv) {
         for (const engine::BackendTally &T : Portfolio.Backends)
           Json->field(("portfolio_" + T.Name + "_wins").c_str(), T.Wins);
       }
-      Json->field("model_attempts", Slp.ModelAttempts);
-      Json->field("gen_replayed_from", Slp.GenReplayedFrom);
-      Json->field("cert_skipped", Slp.CertSkipped);
-      Json->field("nf_cache_reuse", Slp.NfCacheReuse);
+      Json->field("model_attempts", Slp.Work.ModelAttempts);
+      Json->field("gen_replayed_from", Slp.Work.GenReplayedFrom);
+      Json->field("cert_skipped", Slp.Work.CertSkipped);
+      Json->field("nf_cache_reuse", Slp.Work.NfCacheReuse);
       Json->field("slp_cache_hits", Slp.CacheHits);
       Json->field("slp_prove_p50_ns", Slp.ProveP50Ns);
       Json->field("slp_prove_p99_ns", Slp.ProveP99Ns);
@@ -179,18 +171,20 @@ int main(int argc, char **argv) {
   std::printf("\nSLP subsumption index: %llu candidate checks vs %llu "
               "full-DB-scan equivalent (%.1fx pruning); "
               "%llu fwd / %llu bwd deletions\n",
-              static_cast<unsigned long long>(SubChecks),
-              static_cast<unsigned long long>(SubScan),
-              SubChecks ? static_cast<double>(SubScan) / SubChecks : 0.0,
-              static_cast<unsigned long long>(SubFwd),
-              static_cast<unsigned long long>(SubBwd));
+              static_cast<unsigned long long>(Total.SubChecks),
+              static_cast<unsigned long long>(Total.SubScanBaseline),
+              Total.SubChecks ? static_cast<double>(Total.SubScanBaseline) /
+                                    Total.SubChecks
+                              : 0.0,
+              static_cast<unsigned long long>(Total.SubsumedFwd),
+              static_cast<unsigned long long>(Total.SubsumedBwd));
   std::printf("SLP model-guided saturation: %llu attempts, %llu gen "
               "positions replay-skipped, %llu cert checks skipped, "
               "%llu nf-cache reuses\n",
-              static_cast<unsigned long long>(ModelAttempts),
-              static_cast<unsigned long long>(GenReplayed),
-              static_cast<unsigned long long>(CertSkipped),
-              static_cast<unsigned long long>(NfReuse));
+              static_cast<unsigned long long>(Total.ModelAttempts),
+              static_cast<unsigned long long>(Total.GenReplayedFrom),
+              static_cast<unsigned long long>(Total.CertSkipped),
+              static_cast<unsigned long long>(Total.NfCacheReuse));
   if (WithPortfolio) {
     std::printf("Portfolio wins by backend:");
     for (const auto &[Name, Wins] : PortfolioWins)

@@ -53,7 +53,7 @@ core::BackendResult BerdineBackend::prove(const core::ProofTask &Task,
     Out.V = core::Verdict::Unknown;
     break;
   }
-  Out.FuelUsed = F.used() - Before;
+  Out.Stats.FuelUsed = F.used() - Before;
   Stats = Prover.stats();
   return Out;
 }
@@ -76,6 +76,6 @@ core::BackendResult UnfoldingBackend::prove(const core::ProofTask &Task,
   Out.V = Prover.prove(*E, F) == GreedyVerdict::Valid
               ? core::Verdict::Valid
               : core::Verdict::Unknown;
-  Out.FuelUsed = F.used() - Before;
+  Out.Stats.FuelUsed = F.used() - Before;
   return Out;
 }

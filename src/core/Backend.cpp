@@ -26,7 +26,6 @@ BackendResult SlpBackend::prove(const ProofTask &Task, Fuel &F) {
 
   ProveResult R = Session.prove(*P.Value, F);
   Out.V = R.V;
-  Out.FuelUsed = R.Stats.FuelUsed;
   Out.Stats = R.Stats;
   if (R.Cex)
     Out.CexText = sl::str(Session.terms(), R.Cex->S, R.Cex->H);

@@ -52,8 +52,9 @@ struct BackendResult {
   /// model, so its CexText is empty).
   std::string CexText;
 
-  uint64_t FuelUsed = 0;
-  /// SLP saturation/model counters; zeros for baseline backends.
+  /// Work counters: FuelUsed for every backend (for portfolios, summed
+  /// over the race's members); the rest for SLP only, zeros for the
+  /// baselines.
   ProveStats Stats;
 
   /// True iff V is a definitive verdict a portfolio may accept.

@@ -185,19 +185,7 @@ QueryResult BatchProver::proveOne(const core::ProofTask &Task,
       core::ProveResult R = W.Session.prove(E, F);
       ProveTime = ProveTimer.seconds();
       Out.V = R.V;
-      Out.FuelUsed = R.Stats.FuelUsed;
-      Out.SubsumedFwd = R.Stats.SubsumedFwd;
-      Out.SubsumedBwd = R.Stats.SubsumedBwd;
-      Out.SubChecks = R.Stats.SubChecks;
-      Out.SubScanBaseline = R.Stats.SubScanBaseline;
-      Out.ModelAttempts = R.Stats.ModelAttempts;
-      Out.GenReplayedFrom = R.Stats.GenReplayedFrom;
-      Out.CertSkipped = R.Stats.CertSkipped;
-      Out.NfCacheReuse = R.Stats.NfCacheReuse;
-      Out.PoolEquations = R.Stats.PoolEquations;
-      Out.PoolLiterals = R.Stats.PoolLiterals;
-      Out.OrderCacheHits = R.Stats.OrderCacheHits;
-      Out.OrderCacheMisses = R.Stats.OrderCacheMisses;
+      Out.Stats = R.Stats;
       if (R.V != core::Verdict::Unknown)
         Out.Backend = W.Tally.Name;
     } else {
@@ -216,34 +204,22 @@ QueryResult BatchProver::proveOne(const core::ProofTask &Task,
         return Out;
       }
       Out.V = BR.V;
-      Out.FuelUsed = BR.FuelUsed;
+      Out.Stats = BR.Stats;
       // Per the header contract, Backend names a verdict's producer;
       // nobody vouches for Unknown (single backends name themselves in
       // BR.Backend unconditionally, the portfolio already clears it).
       if (BR.V != core::Verdict::Unknown)
         Out.Backend = BR.Backend;
-      Out.SubsumedFwd = BR.Stats.SubsumedFwd;
-      Out.SubsumedBwd = BR.Stats.SubsumedBwd;
-      Out.SubChecks = BR.Stats.SubChecks;
-      Out.SubScanBaseline = BR.Stats.SubScanBaseline;
-      Out.ModelAttempts = BR.Stats.ModelAttempts;
-      Out.GenReplayedFrom = BR.Stats.GenReplayedFrom;
-      Out.CertSkipped = BR.Stats.CertSkipped;
-      Out.NfCacheReuse = BR.Stats.NfCacheReuse;
-      Out.PoolEquations = BR.Stats.PoolEquations;
-      Out.PoolLiterals = BR.Stats.PoolLiterals;
-      Out.OrderCacheHits = BR.Stats.OrderCacheHits;
-      Out.OrderCacheMisses = BR.Stats.OrderCacheMisses;
     }
     Span.arg("verdict", std::string(Out.verdictText()));
     if (!Out.Backend.empty())
       Span.arg("backend", Out.Backend);
-    Span.arg("fuel", Out.FuelUsed);
-    if (Out.ModelAttempts) {
-      Span.arg("model_attempts", Out.ModelAttempts);
-      Span.arg("gen_replayed_from", Out.GenReplayedFrom);
-      Span.arg("cert_skipped", Out.CertSkipped);
-      Span.arg("nf_cache_reuse", Out.NfCacheReuse);
+    Span.arg("fuel", Out.Stats.FuelUsed);
+    if (Out.Stats.ModelAttempts) {
+      Span.arg("model_attempts", Out.Stats.ModelAttempts);
+      Span.arg("gen_replayed_from", Out.Stats.GenReplayedFrom);
+      Span.arg("cert_skipped", Out.Stats.CertSkipped);
+      Span.arg("nf_cache_reuse", Out.Stats.NfCacheReuse);
     }
   }
 
@@ -254,7 +230,7 @@ QueryResult BatchProver::proveOne(const core::ProofTask &Task,
     W.Tally.Wins += Definitive;
     W.Tally.Definitive += Definitive;
     W.Tally.Seconds += ProveTime;
-    W.Tally.FuelUsed += Out.FuelUsed;
+    W.Tally.FuelUsed += Out.Stats.FuelUsed;
   }
 
   if (Claim) {
@@ -361,18 +337,7 @@ BatchProver::run(const std::vector<core::ProofTask> &Tasks) {
       ++Stats.CacheHits;
     else if (Opts.CacheEnabled)
       ++Stats.CacheMisses;
-    Stats.SubsumedFwd += R.SubsumedFwd;
-    Stats.SubsumedBwd += R.SubsumedBwd;
-    Stats.SubChecks += R.SubChecks;
-    Stats.SubScanBaseline += R.SubScanBaseline;
-    Stats.ModelAttempts += R.ModelAttempts;
-    Stats.GenReplayedFrom += R.GenReplayedFrom;
-    Stats.CertSkipped += R.CertSkipped;
-    Stats.NfCacheReuse += R.NfCacheReuse;
-    Stats.PoolEquations += R.PoolEquations;
-    Stats.PoolLiterals += R.PoolLiterals;
-    Stats.OrderCacheHits += R.OrderCacheHits;
-    Stats.OrderCacheMisses += R.OrderCacheMisses;
+    Stats.Work += R.Stats;
     switch (R.V) {
     case core::Verdict::Valid:
       ++Stats.Valid;
@@ -408,18 +373,7 @@ BatchProver::run(const std::vector<core::ProofTask> &Tasks) {
   Reg.counter("session.terms_reclaimed").inc(Stats.TermsReclaimed);
   Reg.counter("session.arena_bytes_reclaimed").inc(Stats.ArenaBytesReclaimed);
   Reg.counter("session.arena_slabs_reused").inc(Stats.ArenaSlabsReused);
-  Reg.counter("sat.model_attempts").inc(Stats.ModelAttempts);
-  Reg.counter("sat.gen_replayed_from").inc(Stats.GenReplayedFrom);
-  Reg.counter("sat.cert_skipped").inc(Stats.CertSkipped);
-  Reg.counter("sat.nf_cache_reuse").inc(Stats.NfCacheReuse);
-  Reg.counter("sat.subsumed_fwd").inc(Stats.SubsumedFwd);
-  Reg.counter("sat.subsumed_bwd").inc(Stats.SubsumedBwd);
-  Reg.counter("sat.sub_checks").inc(Stats.SubChecks);
-  Reg.counter("sat.sub_scan_baseline").inc(Stats.SubScanBaseline);
-  Reg.counter("sat.pool.equations").inc(Stats.PoolEquations);
-  Reg.counter("sat.pool.literals").inc(Stats.PoolLiterals);
-  Reg.counter("sat.pool.order_memo_hits").inc(Stats.OrderCacheHits);
-  Reg.counter("sat.pool.order_memo_misses").inc(Stats.OrderCacheMisses);
+  Stats.Work.publish(Reg);
   Reg.gauge("engine.workers").set(static_cast<int64_t>(Stats.WorkersUsed));
   Reg.counter("engine.steal.steals").inc(Stats.Steals);
   Reg.counter("engine.steal.attempts").inc(Stats.StealAttempts);

@@ -109,19 +109,11 @@ struct QueryResult {
   /// Decided by the static pre-solver; the saturation prover (and the
   /// cache) never saw this query.
   bool Presolved = false;
-  uint64_t FuelUsed = 0; ///< 0 for cache hits and parse errors.
-  /// Saturation subsumption counters (0 for cache hits/parse errors).
-  uint64_t SubsumedFwd = 0, SubsumedBwd = 0;
-  uint64_t SubChecks = 0, SubScanBaseline = 0;
-  /// Model-guided saturation counters (0 for cache hits/parse errors):
-  /// candidate-model attempts, Gen positions replay-skipped,
-  /// certification checks skipped, normal-form memo reuses.
-  uint64_t ModelAttempts = 0, GenReplayedFrom = 0;
-  uint64_t CertSkipped = 0, NfCacheReuse = 0;
-  /// Saturation data-layout counters (0 for cache hits/parse errors):
-  /// flat-pool sizes at end of query and clause-order memo traffic.
-  uint64_t PoolEquations = 0, PoolLiterals = 0;
-  uint64_t OrderCacheHits = 0, OrderCacheMisses = 0;
+  /// Work counters of the proof (zeros for cache hits, parse errors
+  /// and presolved queries). On the backend path, FuelUsed is the
+  /// backend's (for portfolios, summed over the race's members) and the
+  /// saturation counters are zeros unless SLP produced them.
+  core::ProveStats Stats;
   /// Backend that produced the verdict ("slp", "berdine", ...; for
   /// portfolio runs, the race winner). Empty for cache hits, parse
   /// errors, and undecided portfolio races.
@@ -148,23 +140,10 @@ struct BatchStats {
   /// misses that fell through to the prover).
   size_t PresolvedValid = 0, PresolvedInvalid = 0;
   double PresolveSeconds = 0;
-  /// Aggregated saturation subsumption counters over all proved
-  /// (non-cached) queries: clauses deleted forward/backward, pair
-  /// tests performed, and the tests a full clause-database scan would
-  /// have performed (SubChecks / SubScanBaseline = index pruning).
-  uint64_t SubsumedFwd = 0, SubsumedBwd = 0;
-  uint64_t SubChecks = 0, SubScanBaseline = 0;
-  /// Aggregated model-guided saturation counters over all proved
-  /// (non-cached) queries: candidate-model attempts, Gen positions
-  /// skipped by incremental replay, certification checks vouched for
-  /// by a previous attempt, and normal-form memo reuses.
-  uint64_t ModelAttempts = 0, GenReplayedFrom = 0;
-  uint64_t CertSkipped = 0, NfCacheReuse = 0;
-  /// Aggregated saturation data-layout counters: equations/literals in
-  /// the flat clause pools (summed end-of-query sizes) and the
-  /// clause-order memo's hit/miss traffic.
-  uint64_t PoolEquations = 0, PoolLiterals = 0;
-  uint64_t OrderCacheHits = 0, OrderCacheMisses = 0;
+  /// Work counters summed over every query's QueryResult::Stats, so
+  /// over the proved (non-cached, non-presolved) queries. Subsumption
+  /// pruning is Work.SubScanBaseline / Work.SubChecks.
+  core::ProveStats Work;
   /// Work distribution over the run: worker threads actually used, and
   /// the steal pool's counters (all zero when Jobs <= 1 — the
   /// sequential path has nobody to steal from).

@@ -215,7 +215,7 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
 
   if (Winner != N) {
     core::BackendResult Out = Slots[Winner].R;
-    Out.FuelUsed = TotalFuel;
+    Out.Stats.FuelUsed = TotalFuel;
     // The Berdine splitter decides invalidity without materializing a
     // heap; if another member that does build countermodels also
     // finished with Invalid (typically SLP in a photo finish), carry
@@ -242,6 +242,6 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
     }
   core::BackendResult Out = Slots[Pick].R;
   Out.Backend.clear(); // No member vouches for an Unknown verdict.
-  Out.FuelUsed = TotalFuel;
+  Out.Stats.FuelUsed = TotalFuel;
   return Out;
 }

@@ -15,9 +15,13 @@ using namespace slp::sup;
 
 namespace {
 
-void collectConstants(ClauseView C, std::vector<const Term *> &Out) {
-  auto Add = [&Out](const Term *T) {
-    assert(T->isConstant() && "proof checking is defined for constants");
+/// Appends the distinct terms of \p C to \p Out; false if one is not a
+/// constant (the partitions below treat terms as unrelated atoms, which
+/// ignores congruence and so is only sound over constants).
+bool collectConstants(ClauseView C, std::vector<const Term *> &Out) {
+  bool AllConstants = true;
+  auto Add = [&](const Term *T) {
+    AllConstants &= T->isConstant();
     if (std::find(Out.begin(), Out.end(), T) == Out.end())
       Out.push_back(T);
   };
@@ -29,6 +33,7 @@ void collectConstants(ClauseView C, std::vector<const Term *> &Out) {
     Add(E.lhs());
     Add(E.rhs());
   }
+  return AllConstants;
 }
 
 /// Evaluates a clause under a partition given as class index per
@@ -56,9 +61,12 @@ bool sup::entailsGround(const TermTable &Terms,
                         ClauseView Conclusion) {
   (void)Terms; // Kept for API symmetry with the other checkers.
   std::vector<const Term *> Consts;
+  bool OverConstants = true;
   for (ClauseView P : Premises)
-    collectConstants(P, Consts);
-  collectConstants(Conclusion, Consts);
+    OverConstants &= collectConstants(P, Consts);
+  OverConstants &= collectConstants(Conclusion, Consts);
+  assert(OverConstants && "proof checking is defined for constants");
+  (void)OverConstants;
   unsigned N = static_cast<unsigned>(Consts.size());
   if (N == 0)
     return !Conclusion.empty() ? true : Premises.empty() ? false : true;
@@ -110,13 +118,14 @@ ProofCheckResult sup::checkDerivation(const Saturation &Sat, uint32_t RootId,
 
     std::vector<ClauseView> Premises;
     std::vector<const Term *> Consts;
+    bool OverConstants = true;
     for (uint32_t P : J.Parents) {
       Premises.push_back(Sat.clause(P));
-      collectConstants(Sat.clause(P), Consts);
+      OverConstants &= collectConstants(Sat.clause(P), Consts);
     }
     ClauseView C = Sat.clause(Id);
-    collectConstants(C, Consts);
-    if (Consts.size() > MaxConstants) {
+    OverConstants &= collectConstants(C, Consts);
+    if (!OverConstants || Consts.size() > MaxConstants) {
       ++Result.StepsSkipped;
       continue;
     }

@@ -30,13 +30,15 @@ struct ProofCheckResult {
   bool Ok = true;
   std::string Error;        ///< First failing step, if any.
   unsigned StepsChecked = 0;
-  unsigned StepsSkipped = 0; ///< Steps exceeding MaxConstants.
+  /// Steps exceeding MaxConstants or mentioning a function term.
+  unsigned StepsSkipped = 0;
 };
 
 /// Audits the derivation of \p RootId (premises first). Steps whose
 /// clauses mention more than \p MaxConstants distinct constants are
 /// skipped (partition enumeration is exponential); Bell(9) ≈ 21k
-/// partitions per step is still instant.
+/// partitions per step is still instant. Steps through function terms
+/// are skipped too: partitions of atoms cannot see congruence.
 ProofCheckResult checkDerivation(const Saturation &Sat, uint32_t RootId,
                                  unsigned MaxConstants = 9);
 

@@ -6,6 +6,7 @@
 
 #include "superposition/Saturation.h"
 
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Invariants.h"
 
@@ -1039,4 +1040,10 @@ bool Saturation::verifyModel(const GroundRewriteSystem &R) const {
     if (!modelSatisfies(R, DB.view(Id)))
       return false;
   return true;
+}
+
+void SaturationStats::publish(obs::MetricsRegistry &Reg) const {
+#define SLP_PUBLISH_COUNTER(Field, Metric) Reg.counter(Metric).inc(Field);
+  SLP_SATURATION_COUNTERS(SLP_PUBLISH_COUNTER)
+#undef SLP_PUBLISH_COUNTER
 }

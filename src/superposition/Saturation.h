@@ -39,6 +39,10 @@
 #include <vector>
 
 namespace slp {
+namespace obs {
+class MetricsRegistry;
+} // namespace obs
+
 namespace sup {
 
 /// Outcome of a saturation run.
@@ -69,57 +73,75 @@ struct SaturationOptions {
   bool IncrementalModel = true;
 };
 
-/// Aggregate inference counters, exposed for the benchmark harnesses.
+/// The saturation work counters, each declared once as
+/// X(Field, "metric name"). The list expands to the SaturationStats
+/// fields, their operator+= and the registry counters publish()
+/// writes, so a counter added here reaches ProveStats, the batch
+/// totals, --metrics-json and the benches with no further code.
+#define SLP_SATURATION_COUNTERS(X)                                           \
+  /* Conclusions generated. */                                               \
+  X(Derived, "sat.derived")                                                  \
+  /* Clauses that survived simplification and (re-)entered the passive     \
+     queue. */                                                               \
+  X(Kept, "sat.kept")                                                        \
+  X(Tautologies, "sat.tautologies") /* Deleted as valid. */                  \
+  X(SubsumedFwd, "sat.subsumed_fwd") /* New clauses killed by old ones. */   \
+  X(SubsumedBwd, "sat.subsumed_bwd") /* Old clauses killed by new ones. */   \
+  X(Demodulated, "sat.demodulated")  /* Rewrites by unit equations. */       \
+  X(Cut, "sat.cut")                  /* Literals removed by unit cut. */     \
+  /* Forward + backward subsumption queries. */                              \
+  X(SubQueries, "sat.sub_queries")                                           \
+  /* Clause pairs tested with subsumes(), subsumer-cache probes            \
+     included. */                                                            \
+  X(SubChecks, "sat.sub_checks")                                             \
+  /* Lazily-invalidated index entries of deleted clauses purged by a       \
+     compaction sweep (see compactIndexes()), and the sweeps. */             \
+  X(StalePurged, "sat.stale_purged")                                         \
+  X(Compactions, "sat.compactions")                                          \
+  /* Pairs a full clause-database scan would have enumerated for the       \
+     same queries (the live clause count at each query, minus the query    \
+     clause itself); over SubChecks, the index's pruning factor. The       \
+     baseline ignores a linear forward scan's early exit on a hit, so      \
+     linear-mode runs also report a small pruning factor. */                 \
+  X(SubScanBaseline, "sat.sub_scan_baseline")                                \
+  /* Candidate-model attempts made by saturateModelGuided(). */              \
+  X(ModelAttempts, "sat.model_attempts")                                     \
+  /* Clause positions the incremental attempts did not re-run Gen on:      \
+     the sum over attempts of the replay watermark. */                       \
+  X(GenReplayedFrom, "sat.gen_replayed_from")                                \
+  /* Certification checks (clause satisfaction and Lemma 3.1(2)            \
+     residuals) skipped because the previous attempt verified them         \
+     against the same rule sequence. */                                      \
+  X(CertSkipped, "sat.cert_skipped")                                         \
+  /* normalize() calls that resumed from a normal-form memo entry          \
+     computed under fewer rules. */                                          \
+  X(NfCacheReuse, "sat.nf_cache_reuse")                                      \
+  /* Struct-of-arrays pool occupancy at the last keep: equations in the    \
+     flat clause arena, entries in the sorted-literal pool. */               \
+  X(PoolEquations, "sat.pool.equations")                                     \
+  X(PoolLiterals, "sat.pool.literals")                                       \
+  /* Clause-order memo (clauseOrderLess pair cache) hits, and misses that  \
+     fell through to a full list comparison. */                              \
+  X(OrderCacheHits, "sat.pool.order_memo_hits")                              \
+  X(OrderCacheMisses, "sat.pool.order_memo_misses")
+
+/// Aggregate inference counters. Saturation bumps them with plain
+/// increments; the fields and everything derived from them come from
+/// SLP_SATURATION_COUNTERS.
 struct SaturationStats {
-  uint64_t Derived = 0;      ///< Conclusions generated.
-  uint64_t Kept = 0;         ///< Clauses that survived simplification
-                             ///< and (re-)entered the passive queue.
-  uint64_t Tautologies = 0;  ///< Deleted as valid.
-  uint64_t SubsumedFwd = 0;  ///< New clauses killed by old ones.
-  uint64_t SubsumedBwd = 0;  ///< Old clauses killed by new ones.
-  uint64_t Demodulated = 0;  ///< Rewrites by unit equations.
-  uint64_t Cut = 0;          ///< Literals removed by unit cut.
-  uint64_t SubQueries = 0;   ///< Forward + backward subsumption queries.
-  uint64_t SubChecks = 0;    ///< Clause pairs tested with subsumes(),
-                             ///< subsumer-cache probes included.
-  /// Lazily-invalidated index entries (fingerprint table, FromByMax,
-  /// IntoBySubterm) belonging to deleted clauses that a compaction
-  /// sweep purged; long-lived instances would otherwise grow without
-  /// bound (see compactIndexes()).
-  uint64_t StalePurged = 0;
-  uint64_t Compactions = 0;  ///< Compaction sweeps performed.
-  /// Pairs a full clause-database scan would have *enumerated* for the
-  /// same queries (the live clause count at each query, minus the
-  /// query clause itself). SubScanBaseline over SubChecks is the
-  /// index's candidate-pruning factor. Note the baseline ignores the
-  /// early exit a linear forward scan takes on a hit, so linear-mode
-  /// runs also report a (small) pruning factor from their early exits.
-  uint64_t SubScanBaseline = 0;
-  /// Candidate-model attempts made by saturateModelGuided().
-  uint64_t ModelAttempts = 0;
-  /// Clause positions the incremental attempts did NOT re-run Gen on —
-  /// the sum over attempts of the replay watermark. Against
-  /// ModelAttempts × live-clause-count, this is the fraction of the
-  /// Bachmair-Ganzinger construction amortized away.
-  uint64_t GenReplayedFrom = 0;
-  /// Certification checks (clause satisfaction and Lemma 3.1(2)
-  /// residuals) skipped because the previous attempt already verified
-  /// them against the same rule sequence.
-  uint64_t CertSkipped = 0;
-  /// normalize() calls that resumed from a normal-form memo entry
-  /// computed under fewer rules — work the pre-watermark cache would
-  /// have redone from scratch after every addRule.
-  uint64_t NfCacheReuse = 0;
-  /// Struct-of-arrays pool occupancy at the last keep: equations in
-  /// the flat clause arena and encoded entries in the sorted-literal
-  /// pool. Mirrored to the sat.pool.* metrics.
-  uint64_t PoolEquations = 0;
-  uint64_t PoolLiterals = 0;
-  /// Clause-order memo traffic (clauseOrderLess pair cache): answers
-  /// served without touching the literal pool, and misses that fell
-  /// through to a full list comparison.
-  uint64_t OrderCacheHits = 0;
-  uint64_t OrderCacheMisses = 0;
+#define SLP_DECLARE_COUNTER(Field, Metric) uint64_t Field = 0;
+  SLP_SATURATION_COUNTERS(SLP_DECLARE_COUNTER)
+#undef SLP_DECLARE_COUNTER
+
+  SaturationStats &operator+=(const SaturationStats &O) {
+#define SLP_ADD_COUNTER(Field, Metric) Field += O.Field;
+    SLP_SATURATION_COUNTERS(SLP_ADD_COUNTER)
+#undef SLP_ADD_COUNTER
+    return *this;
+  }
+
+  /// Adds every counter to its registry counter.
+  void publish(obs::MetricsRegistry &Reg) const;
 };
 
 /// Incremental ground superposition engine.

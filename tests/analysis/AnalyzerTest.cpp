@@ -38,9 +38,10 @@ protected:
     if (A.V == core::Verdict::Invalid) {
       // Invalid must come with a semantically verified countermodel.
       EXPECT_TRUE(A.Cex.has_value()) << Text;
-      if (A.Cex)
+      if (A.Cex) {
         EXPECT_TRUE(sl::isCounterexample(A.Cex->S, A.Cex->H, *P.Value))
             << Text << "\n  bogus countermodel: " << A.Detail;
+      }
     }
     return A;
   }

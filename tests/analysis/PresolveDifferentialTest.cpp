@@ -151,7 +151,7 @@ TEST(PresolveDifferentialTest, PresolvedResultsAreMarkedAndCounted) {
   for (size_t I = 0; I != R.size(); ++I) {
     EXPECT_TRUE(R[I].Presolved) << Queries[I];
     EXPECT_EQ(R[I].Backend, "presolve") << Queries[I];
-    EXPECT_EQ(R[I].FuelUsed, 0u) << Queries[I];
+    EXPECT_EQ(R[I].Stats.FuelUsed, 0u) << Queries[I];
   }
   EXPECT_EQ(R[0].V, core::Verdict::Valid);
   EXPECT_EQ(R[1].V, core::Verdict::Valid);

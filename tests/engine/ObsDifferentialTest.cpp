@@ -6,8 +6,9 @@
 ///
 /// Telemetry must be observation-only: a batch run with tracing and
 /// metrics enabled produces verdict-for-verdict identical results to a
-/// run with everything off, and the run populates the metric names the
-/// dashboards and `--metrics-json` consumers rely on.
+/// run with everything off, the run populates the metric names the
+/// dashboards and `--metrics-json` consumers rely on, and every work
+/// counter reaches the batch totals and the registry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,4 +125,45 @@ TEST(ObsDifferential, BatchRunPopulatesRegistryMetrics) {
   const obs::HistogramSnapshot *Parse = After.histogram("engine.phase.parse_ns");
   ASSERT_TRUE(Parse);
   EXPECT_GE(Parse->Count, Doubled.size());
+}
+
+TEST(ObsDifferential, EveryWorkCounterReachesEverySink) {
+  obs::TraceRecorder::global().discard();
+  // Presolve and cache off: every query is proved, so every counter of
+  // every proof must arrive in BatchStats and in the registry.
+  std::vector<std::string> Corpus = makeCorpus(10, /*Seed=*/77);
+  for (unsigned Jobs : {1u, 4u}) {
+    BatchOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.CacheEnabled = false;
+    Opts.Presolve = false;
+    BatchProver Engine(Opts);
+    obs::MetricsSnapshot Before = obs::metrics().snapshot();
+    std::vector<QueryResult> Results = Engine.run(Corpus);
+    obs::MetricsSnapshot After = obs::metrics().snapshot();
+    const core::ProveStats &Total = Engine.stats().Work;
+    auto Delta = [&](const char *Metric) {
+      return After.counterOr0(Metric) - Before.counterOr0(Metric);
+    };
+
+    uint64_t FuelSum = 0, OuterSum = 0;
+    for (const QueryResult &R : Results) {
+      FuelSum += R.Stats.FuelUsed;
+      OuterSum += R.Stats.OuterIterations;
+    }
+    EXPECT_EQ(Total.FuelUsed, FuelSum) << "jobs=" << Jobs;
+    EXPECT_EQ(Total.OuterIterations, OuterSum) << "jobs=" << Jobs;
+#define SLP_CHECK_COUNTER(Field, Metric)                                      \
+  {                                                                           \
+    uint64_t Sum = 0;                                                         \
+    for (const QueryResult &R : Results)                                      \
+      Sum += R.Stats.Field;                                                   \
+    EXPECT_EQ(Total.Field, Sum) << #Field << " jobs=" << Jobs;                \
+    EXPECT_EQ(Delta(Metric), Sum) << Metric << " jobs=" << Jobs;              \
+  }
+    SLP_SATURATION_COUNTERS(SLP_CHECK_COUNTER)
+#undef SLP_CHECK_COUNTER
+    EXPECT_GT(Delta("sat.cut"), 0u) << "the corpus must exercise unit cut";
+    EXPECT_GT(Delta("sat.derived"), 0u);
+  }
 }

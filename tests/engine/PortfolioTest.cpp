@@ -91,7 +91,7 @@ TEST(BackendTest, SlpBackendProvesAndRefutes) {
   // A query that needs real saturation work reports its fuel.
   R = proveWith(B, NeedsSplit);
   EXPECT_EQ(R.V, core::Verdict::Valid);
-  EXPECT_GT(R.FuelUsed, 0u);
+  EXPECT_GT(R.Stats.FuelUsed, 0u);
 }
 
 TEST(BackendTest, SlpBackendReportsParseErrors) {

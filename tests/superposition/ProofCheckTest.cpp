@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 using namespace slp;
 using namespace slp::sup;
 
@@ -103,6 +105,27 @@ TEST_F(ProofCheckTest, OversizedStepsAreSkippedNotFailed) {
   // With a zero cap every non-input step is skipped; the refutation
   // necessarily contains at least one.
   ProofCheckResult R = checkRefutation(Sat, /*MaxConstants=*/0);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_GT(R.StepsSkipped, 0u);
+}
+
+TEST_F(ProofCheckTest, FunctionTermStepsAreSkippedNotFailed) {
+  // The partition semantics cannot see congruence: the refutation
+  // rewrites f(b) ' c to f(a) ' c by b ' a, which over the unrelated
+  // atoms f(a), f(b) looks like a non sequitur. Such a step must be
+  // skipped, not reported as failing.
+  const Term *FA =
+      Terms.make(Symbols.intern("f", 1), std::array<const Term *, 1>{T("a")});
+  const Term *FB =
+      Terms.make(Symbols.intern("f", 1), std::array<const Term *, 1>{T("b")});
+  Saturation Sat(Terms, Ord);
+  Sat.addInput({}, {Equation(T("b"), T("a")), Equation(T("p"), T("q"))});
+  Sat.addInput({}, {Equation(FB, T("c"))});
+  Sat.addInput({Equation(FA, T("c"))}, {});
+  Sat.addInput({Equation(T("p"), T("q"))}, {});
+  Fuel F;
+  ASSERT_EQ(Sat.saturate(F), SatResult::Unsatisfiable);
+  ProofCheckResult R = checkRefutation(Sat);
   EXPECT_TRUE(R.Ok) << R.Error;
   EXPECT_GT(R.StepsSkipped, 0u);
 }

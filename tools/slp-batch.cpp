@@ -209,26 +209,27 @@ int main(int argc, char **argv) {
                    S.PresolvedValid, S.PresolvedInvalid,
                    S.PresolveSeconds);
     }
-    double Prune = S.SubChecks
-                       ? static_cast<double>(S.SubScanBaseline) / S.SubChecks
-                       : 0.0;
+    const core::ProveStats &W = S.Work;
+    double Prune =
+        W.SubChecks ? static_cast<double>(W.SubScanBaseline) / W.SubChecks
+                    : 0.0;
     std::fprintf(stderr,
                  "subsumption (%s): %llu fwd, %llu bwd, %llu checks of "
                  "%llu scan-equivalent (%.1fx pruned)\n",
                  Opts.Prover.Sat.IndexedSubsumption ? "indexed" : "linear",
-                 static_cast<unsigned long long>(S.SubsumedFwd),
-                 static_cast<unsigned long long>(S.SubsumedBwd),
-                 static_cast<unsigned long long>(S.SubChecks),
-                 static_cast<unsigned long long>(S.SubScanBaseline), Prune);
-    uint64_t MemoTotal = S.OrderCacheHits + S.OrderCacheMisses;
+                 static_cast<unsigned long long>(W.SubsumedFwd),
+                 static_cast<unsigned long long>(W.SubsumedBwd),
+                 static_cast<unsigned long long>(W.SubChecks),
+                 static_cast<unsigned long long>(W.SubScanBaseline), Prune);
+    uint64_t MemoTotal = W.OrderCacheHits + W.OrderCacheMisses;
     std::fprintf(stderr,
                  "pools: %llu equations, %llu literals; order memo "
                  "%llu hits / %llu misses (%.1f%%)\n",
-                 static_cast<unsigned long long>(S.PoolEquations),
-                 static_cast<unsigned long long>(S.PoolLiterals),
-                 static_cast<unsigned long long>(S.OrderCacheHits),
-                 static_cast<unsigned long long>(S.OrderCacheMisses),
-                 MemoTotal ? 100.0 * S.OrderCacheHits / MemoTotal : 0.0);
+                 static_cast<unsigned long long>(W.PoolEquations),
+                 static_cast<unsigned long long>(W.PoolLiterals),
+                 static_cast<unsigned long long>(W.OrderCacheHits),
+                 static_cast<unsigned long long>(W.OrderCacheMisses),
+                 MemoTotal ? 100.0 * W.OrderCacheHits / MemoTotal : 0.0);
     obs::MetricsSnapshot Snap = obs::metrics().snapshot();
     cli::printModelGuidedStats(Snap, Opts.Prover.Sat.IncrementalModel);
     cli::printEngineReuseStats(Snap);

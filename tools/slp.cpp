@@ -392,7 +392,13 @@ int main(int argc, char **argv) {
                        " cert-skipped=" +
                        std::to_string(R.Stats.CertSkipped) +
                        " nf-cache-reuse=" +
-                       std::to_string(R.Stats.NfCacheReuse);
+                       std::to_string(R.Stats.NfCacheReuse) +
+                       "\n  search: derived=" +
+                       std::to_string(R.Stats.Derived) +
+                       " kept=" + std::to_string(R.Stats.Kept) +
+                       " taut=" + std::to_string(R.Stats.Tautologies) +
+                       " demod=" + std::to_string(R.Stats.Demodulated) +
+                       " cut=" + std::to_string(R.Stats.Cut);
     }
     if (Recorder.enabled())
       Recorder.complete("prove", SpanStart, Recorder.nowNs() - SpanStart);
