@@ -52,9 +52,9 @@ struct BackendResult {
   /// model, so its CexText is empty).
   std::string CexText;
 
-  /// Work counters: FuelUsed for every backend (for portfolios, summed
-  /// over the race's members); the rest for SLP only, zeros for the
-  /// baselines.
+  /// Work counters: FuelUsed for every backend, the rest for SLP
+  /// only (zeros for the baselines). A portfolio sums every counter
+  /// over the race's members.
   ProveStats Stats;
 
   /// True iff V is a definitive verdict a portfolio may accept.

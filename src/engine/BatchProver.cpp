@@ -14,6 +14,9 @@
 #include "sl/Parser.h"
 #include "support/Timer.h"
 
+#include <algorithm>
+#include <numeric>
+
 using namespace slp;
 using namespace slp::engine;
 
@@ -98,8 +101,8 @@ std::vector<BackendTally> BatchProver::Worker::tallies() const {
   return {Tally};
 }
 
-QueryResult BatchProver::proveOne(const core::ProofTask &Task,
-                                      Worker &W) {
+QueryResult BatchProver::proveOne(const core::ProofTask &Task, size_t Index,
+                                  Worker &W) {
   QueryResult Out;
   PhaseHistograms &PH = phaseHistograms();
   obs::TraceSpan QuerySpan("query");
@@ -147,24 +150,41 @@ QueryResult BatchProver::proveOne(const core::ProofTask &Task,
     ScopedTimer ST(PH.Canon);
     return CanonicalQuery::of(*P.Value);
   }();
-  // Single flight: a miss claims the key, so a concurrent duplicate
-  // waits here for this worker's verdict instead of proving it again.
-  std::optional<CacheClaim> Claim;
+  // Single flight: a miss claims the key. A key another worker claims
+  // is set aside rather than waited for here, so this worker takes
+  // other work while the claimant proves it.
   if (Opts.CacheEnabled) {
-    std::optional<core::Verdict> Hit;
+    ResultCache::Probe Found;
     {
       obs::TraceSpan Span("cache-lookup");
       ScopedTimer ST(PH.CacheNs, &W.CacheSeconds);
-      Hit = Cache.lookupOrClaim(Q);
-      Span.arg("hit", static_cast<uint64_t>(Hit.has_value()));
+      Found = Cache.probe(Q);
+      Span.arg("hit",
+               static_cast<uint64_t>(Found.K == ResultCache::Probe::Hit));
     }
-    if (Hit) {
-      Out.V = *Hit;
+    if (Found.K == ResultCache::Probe::Pending) {
+      // A placeholder: resolveLater fills in Results[Index].
+      W.Later.push_back({Index, std::move(Q), std::move(Found)});
+      return Out;
+    }
+    if (Found.K == ResultCache::Probe::Hit) {
+      Out.V = Found.V;
       Out.FromCache = true;
       return Out;
     }
-    Claim.emplace(Cache, Q);
   }
+  return proveCanonical(Task, Q, W);
+}
+
+QueryResult BatchProver::proveCanonical(const core::ProofTask &Task,
+                                        const CanonicalQuery &Q, Worker &W) {
+  QueryResult Out;
+  PhaseHistograms &PH = phaseHistograms();
+  // With the cache on, this worker claims Q: publish the verdict, or
+  // abandon the claim on any other exit.
+  std::optional<CacheClaim> Claim;
+  if (Opts.CacheEnabled)
+    Claim.emplace(Cache, Q);
 
   // Rewind the parse-local terms and re-materialize the canonical form
   // at the baseline, so the verdict is a pure function of the
@@ -241,75 +261,48 @@ QueryResult BatchProver::proveOne(const core::ProofTask &Task,
   return Out;
 }
 
+void BatchProver::resolveLater(const std::vector<core::ProofTask> &Tasks,
+                               Worker &W, std::vector<QueryResult> &Results) {
+  // This worker holds no claim here, so the waits cannot deadlock.
+  for (Worker::Deferred &D : W.Later) {
+    std::optional<core::Verdict> V;
+    {
+      obs::TraceSpan Span("cache-wait");
+      ScopedTimer ST(phaseHistograms().CacheNs, &W.CacheSeconds);
+      V = Cache.wait(D.Q, std::move(D.P));
+    }
+    QueryResult &Out = Results[D.Index];
+    if (V) {
+      Out.V = *V;
+      Out.FromCache = true;
+    } else { // The claim was abandoned and passed to this worker.
+      Out = proveCanonical(Tasks[D.Index], D.Q, W);
+    }
+  }
+  W.Later.clear();
+}
+
 std::vector<QueryResult>
 BatchProver::run(const std::vector<core::ProofTask> &Tasks) {
   std::vector<QueryResult> Results(Tasks.size());
   Timer T;
 
   unsigned Jobs = ThreadPool::resolveJobs(Opts.Jobs);
-  std::vector<core::SessionStats> Sessions;
-  std::vector<std::vector<BackendTally>> WorkerTallies;
-  double ParseSeconds = 0, PresolveSeconds = 0, ProveSeconds = 0,
-         CacheSeconds = 0;
-  auto Retire = [&](const Worker &W) {
-    Sessions.push_back(W.Session.stats());
-    WorkerTallies.push_back(W.tallies());
-    ParseSeconds += W.ParseSeconds;
-    PresolveSeconds += W.PresolveSeconds;
-    ProveSeconds += W.ProveSeconds;
-    CacheSeconds += W.CacheSeconds;
-  };
-
-  StealStats Stealing;
-  unsigned WorkersUsed = 1;
-  if (Jobs <= 1 || Tasks.size() <= 1) {
-    Worker W(Opts);
-    for (size_t I = 0; I != Tasks.size(); ++I) {
-      if (Opts.Cancel && Opts.Cancel->cancelled())
-        break; // Unclaimed tasks keep their default Unknown result.
-      Results[I] = proveOne(Tasks[I], W);
-    }
-    Retire(W);
-  } else {
-    WorkersUsed = Jobs;
-    StealPool Queue(Tasks.size(), Jobs,
-                    &obs::metrics().gauge("engine.queue.depth"), Opts.Cancel);
-    ThreadPool Pool(Jobs);
-    std::vector<std::unique_ptr<Worker>> Workers(Jobs);
-    for (unsigned J = 0; J != Jobs; ++J)
-      Pool.submit([this, J, &Queue, &Tasks, &Results, &Workers] {
-        // One long-lived worker context per job for the whole batch.
-        Workers[J] = std::make_unique<Worker>(Opts);
-        size_t I;
-        while (Queue.pop(J, I))
-          Results[I] = proveOne(Tasks[I], *Workers[J]);
-      });
-    Pool.wait();
-    for (const std::unique_ptr<Worker> &W : Workers)
-      Retire(*W);
-    Stealing = Queue.totals();
-  }
-
   Stats = BatchStats();
-  Stats.Seconds = T.seconds();
-  Stats.Queries = Tasks.size();
-  Stats.ParseSeconds = ParseSeconds;
-  Stats.PresolveSeconds = PresolveSeconds;
-  Stats.ProveSeconds = ProveSeconds;
-  Stats.CacheSeconds = CacheSeconds;
-  Stats.Sessions = Sessions.size();
-  Stats.WorkersUsed = WorkersUsed;
-  Stats.Steals = Stealing.Steals;
-  Stats.StealAttempts = Stealing.StealAttempts;
-  for (const core::SessionStats &SS : Sessions) {
+  Stats.WorkersUsed = 1;
+  auto Retire = [this](const Worker &W) {
+    const core::SessionStats &SS = W.Session.stats();
+    ++Stats.Sessions;
     Stats.SessionResets += SS.Resets;
     Stats.TermsReclaimed += SS.TermsReclaimed;
     Stats.ArenaBytesReclaimed += SS.BytesReclaimed;
     Stats.ArenaSlabsReused += SS.SlabsReused;
-  }
-  // Merge per-backend tallies across workers, preserving member order.
-  for (const std::vector<BackendTally> &WT : WorkerTallies)
-    for (const BackendTally &BT : WT) {
+    Stats.ParseSeconds += W.ParseSeconds;
+    Stats.PresolveSeconds += W.PresolveSeconds;
+    Stats.ProveSeconds += W.ProveSeconds;
+    Stats.CacheSeconds += W.CacheSeconds;
+    // Merge per-backend tallies across workers, preserving member order.
+    for (const BackendTally &BT : W.tallies()) {
       BackendTally *Into = nullptr;
       for (BackendTally &Existing : Stats.Backends)
         if (Existing.Name == BT.Name)
@@ -325,6 +318,51 @@ BatchProver::run(const std::vector<core::ProofTask> &Tasks) {
       Into->Seconds += BT.Seconds;
       Into->FuelUsed += BT.FuelUsed;
     }
+  };
+
+  if (Jobs <= 1 || Tasks.size() <= 1) {
+    Worker W(Opts);
+    for (size_t I = 0; I != Tasks.size(); ++I) {
+      if (Opts.Cancel && Opts.Cancel->cancelled())
+        break; // Unclaimed tasks keep their default Unknown result.
+      Results[I] = proveOne(Tasks[I], I, W);
+    }
+    resolveLater(Tasks, W, Results);
+    Retire(W);
+  } else {
+    Stats.WorkersUsed = Jobs;
+    // Longest text first (stable): dealt round-robin, every worker
+    // starts on a heavy task, and thieves take the short tail.
+    std::vector<size_t> Order(Tasks.size());
+    std::iota(Order.begin(), Order.end(), size_t(0));
+    std::stable_sort(Order.begin(), Order.end(),
+                     [&Tasks](size_t A, size_t B) {
+                       return Tasks[A].Text.size() > Tasks[B].Text.size();
+                     });
+    StealPool Queue(Tasks.size(), Jobs,
+                    &obs::metrics().gauge("engine.queue.depth"), Opts.Cancel);
+    ThreadPool Pool(Jobs);
+    std::vector<std::unique_ptr<Worker>> Workers(Jobs);
+    for (unsigned J = 0; J != Jobs; ++J)
+      Pool.submit([this, J, &Queue, &Order, &Tasks, &Results, &Workers] {
+        // One long-lived worker context per job for the whole batch.
+        Workers[J] = std::make_unique<Worker>(Opts);
+        size_t P;
+        while (Queue.pop(J, P)) {
+          size_t I = Order[P];
+          Results[I] = proveOne(Tasks[I], I, *Workers[J]);
+        }
+        resolveLater(Tasks, *Workers[J], Results);
+      });
+    Pool.wait();
+    for (const std::unique_ptr<Worker> &W : Workers)
+      Retire(*W);
+    Stats.Steals = Queue.totals().Steals;
+    Stats.StealAttempts = Queue.totals().StealAttempts;
+  }
+
+  Stats.Seconds = T.seconds();
+  Stats.Queries = Tasks.size();
   for (const QueryResult &R : Results) {
     if (R.Status == QueryStatus::ParseError) {
       ++Stats.ParseErrors;

@@ -9,10 +9,10 @@
 /// StealPool over a batch of ProofTasks (textual entailment
 /// obligations from a corpus file, the symbolic executor, or any other
 /// source), memoizing verdicts in a shared ResultCache keyed by the
-/// alpha-invariant CanonicalQuery. Each worker owns a contiguous block
-/// of the batch and steals half of a straggler's remainder when it
-/// drains, so heavy-tailed query costs stop serializing the tail of
-/// the run.
+/// alpha-invariant CanonicalQuery. Tasks are dealt longest first, so
+/// each worker starts on a heavy one, and a worker that drains steals
+/// the light half of a straggler's remainder, so heavy-tailed query
+/// costs stop serializing the tail of the run.
 ///
 /// Each worker owns one core::ProverSession for the whole batch: the
 /// task is parsed once, straight into the session's term table on top
@@ -28,16 +28,16 @@
 /// cost. Results are reported in input order; a `--jobs=8` run is
 /// byte-identical to a sequential one.
 ///
-/// The cache lookup is single-flight (ResultCache::lookupOrClaim): a
-/// miss claims its canonical key, and a worker that meets the key
-/// while the claim is open waits for the claimant's verdict — the
-/// verdict it would have computed itself, since verdicts are a pure
-/// function of the key — instead of proving it again. Such a wait
-/// counts as a cache hit, and its time is cache time. So each key is
-/// proved once per run at any `--jobs`: BatchStats::CacheMisses is the
-/// number of distinct canonical keys proved and CacheHits the rest. A
-/// claim that ends without a verdict (the backend path's ParseError
-/// return, an exception) is abandoned, and one waiter takes it over.
+/// The cache lookup is single-flight (ResultCache::probe): a miss
+/// claims its canonical key. A worker that meets the key while the
+/// claim is open sets the task aside, keeps popping, and once the pool
+/// is drained waits for the claimant's verdict (a pure function of the
+/// key) instead of proving it again; that counts one hit, and the wait
+/// is cache time. So each key is proved once per run at any `--jobs`:
+/// BatchStats::CacheMisses is the number of distinct canonical keys
+/// proved and CacheHits the rest. A claim that ends without a verdict
+/// (the backend path's ParseError return, an exception) is abandoned,
+/// and one waiter takes it over.
 ///
 /// The engine can also discharge tasks through any
 /// core::EntailmentBackend (BatchOptions::Backend): the Berdine and
@@ -110,9 +110,9 @@ struct QueryResult {
   /// cache) never saw this query.
   bool Presolved = false;
   /// Work counters of the proof (zeros for cache hits, parse errors
-  /// and presolved queries). On the backend path, FuelUsed is the
-  /// backend's (for portfolios, summed over the race's members) and the
-  /// saturation counters are zeros unless SLP produced them.
+  /// and presolved queries). On the backend path they are the
+  /// backend's: zeros but FuelUsed for the baselines, and for
+  /// portfolios summed over the race's members.
   core::ProveStats Stats;
   /// Backend that produced the verdict ("slp", "berdine", ...; for
   /// portfolio runs, the race winner). Empty for cache hits, parse
@@ -132,8 +132,8 @@ struct BatchStats {
   double Seconds = 0;
   size_t Queries = 0;
   size_t Valid = 0, Invalid = 0, Unknown = 0, ParseErrors = 0;
-  /// Hits include waits on another worker's in-flight proof of the
-  /// same key; misses are the distinct keys this run proved.
+  /// Hits include tasks resolved by waiting for another worker's proof
+  /// of the same key; misses are the distinct keys this run proved.
   uint64_t CacheHits = 0, CacheMisses = 0;
   /// Queries the static pre-solver decided (mirrored to the
   /// analysis.presolved.* counters; PresolveSeconds includes the
@@ -221,12 +221,24 @@ private:
     BackendTally Tally;
     double ParseSeconds = 0, PresolveSeconds = 0, ProveSeconds = 0,
            CacheSeconds = 0;
+    /// Tasks whose key another worker claimed when probed, for
+    /// resolveLater: input index, canonical key and probe.
+    struct Deferred { size_t Index; CanonicalQuery Q; ResultCache::Probe P; };
+    std::vector<Deferred> Later;
 
     /// The tallies to merge into BatchStats at end of batch.
     std::vector<BackendTally> tallies() const;
   };
 
-  QueryResult proveOne(const core::ProofTask &Task, Worker &W);
+  /// Answers task \p Index, or sets it aside in W.Later (returning a
+  /// placeholder) when another worker claims its key.
+  QueryResult proveOne(const core::ProofTask &Task, size_t Index, Worker &W);
+  /// Proves \p Q, claiming it in the cache when the cache is on.
+  QueryResult proveCanonical(const core::ProofTask &Task,
+                             const CanonicalQuery &Q, Worker &W);
+  /// Answers W.Later into \p Results once \p W has nothing to pop.
+  void resolveLater(const std::vector<core::ProofTask> &Tasks, Worker &W,
+                    std::vector<QueryResult> &Results);
 
   BatchOptions Opts;
   ResultCache Cache;

@@ -134,14 +134,13 @@ void PortfolioProver::runMember(size_t I) {
   Slot &S = Slots[I];
   S.R = Members[I]->prove(*Task, MF);
   S.Seconds = T.seconds();
-  S.FuelUsed = MF.used();
   S.Seq = Seq.fetch_add(1, std::memory_order_relaxed);
   if (S.R.definitive())
     Cancel->cancel(); // Decided: stop the losers.
   else
     S.Cancelled = MF.cancelled();
   Span.arg("seq", static_cast<uint64_t>(S.Seq));
-  Span.arg("fuel", S.FuelUsed);
+  Span.arg("fuel", S.R.Stats.FuelUsed);
   Span.arg("definitive", static_cast<uint64_t>(S.R.definitive()));
   Span.arg("cancelled", static_cast<uint64_t>(S.Cancelled));
 }
@@ -197,7 +196,8 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
         (Winner == N || Slots[I].Seq < Slots[Winner].Seq))
       Winner = I;
 
-  uint64_t TotalFuel = 0;
+  // Every member's work, so the race's counters describe all of it.
+  core::ProveStats Total;
   for (size_t I = 0; I != N; ++I) {
     const Slot &S = Slots[I];
     BackendTally &Tally = Tallies[I];
@@ -206,16 +206,16 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
     Tally.Definitive += S.R.definitive();
     Tally.Cancelled += S.Cancelled;
     Tally.Seconds += S.Seconds;
-    Tally.FuelUsed += S.FuelUsed;
-    TotalFuel += S.FuelUsed;
+    Tally.FuelUsed += S.R.Stats.FuelUsed;
+    Total += S.R.Stats;
   }
   // Charge the caller's budget with the whole race for accounting;
   // the race itself is bounded by Opts.FuelPerQuery per member.
-  F.consume(TotalFuel);
+  F.consume(Total.FuelUsed);
 
   if (Winner != N) {
     core::BackendResult Out = Slots[Winner].R;
-    Out.Stats.FuelUsed = TotalFuel;
+    Out.Stats = Total;
     // The Berdine splitter decides invalidity without materializing a
     // heap; if another member that does build countermodels also
     // finished with Invalid (typically SLP in a photo finish), carry
@@ -232,16 +232,9 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
 
   // Nobody decided (timeouts everywhere, an incomplete-member miss, or
   // a parse error — the members parse the same text, so one parse
-  // diagnostic stands for all). Prefer the SLP member's slot: its
-  // saturation counters describe real work done.
-  size_t Pick = 0;
-  for (size_t I = 0; I != N; ++I)
-    if (Opts.Backends[I] == BackendKind::Slp) {
-      Pick = I;
-      break;
-    }
-  core::BackendResult Out = Slots[Pick].R;
+  // diagnostic stands for all), so any slot serves.
+  core::BackendResult Out = Slots[0].R;
   Out.Backend.clear(); // No member vouches for an Unknown verdict.
-  Out.Stats.FuelUsed = TotalFuel;
+  Out.Stats = Total;
   return Out;
 }

@@ -122,7 +122,8 @@ public:
 
   /// Races every member on \p Task; returns the first definitive
   /// verdict (its producer in BackendResult::Backend) or, when no
-  /// member decides, an Unknown result. Each member's budget is
+  /// member decides, an Unknown result; either way its Stats sum every
+  /// member's work counters. Each member's budget is
   /// PortfolioOptions::FuelPerQuery, or — when that is 0 — \p F's
   /// remaining budget at race start (per member; they do not share).
   /// \p F is charged with the fuel all members consumed, and its
@@ -139,7 +140,6 @@ private:
   struct Slot {
     core::BackendResult R;
     double Seconds = 0;
-    uint64_t FuelUsed = 0;
     unsigned Seq = ~0u;     ///< Finish order (0 = first).
     bool Cancelled = false; ///< Gave up because the race was decided.
   };

@@ -55,32 +55,42 @@ std::optional<core::Verdict> ResultCache::lookup(const CanonicalQuery &Q) {
   return std::nullopt;
 }
 
-std::optional<core::Verdict>
-ResultCache::lookupOrClaim(const CanonicalQuery &Q) {
+ResultCache::Probe ResultCache::probe(const CanonicalQuery &Q) {
+  Shard &S = shardFor(Q.hash());
+  std::lock_guard<std::mutex> Lock(S.M);
+  if (std::optional<core::Verdict> Hit = hitLocked(S, Q.key()))
+    return {Probe::Hit, *Hit, nullptr};
+  auto [It, Claimed] =
+      S.Pending.try_emplace(Q.key(), std::make_shared<InFlight>());
+  if (!Claimed)
+    return {Probe::Pending, core::Verdict::Unknown, It->second};
+  ++S.Misses;
+  MissesMetric.inc();
+  return {Probe::Claimed, core::Verdict::Unknown, nullptr};
+}
+
+std::optional<core::Verdict> ResultCache::wait(const CanonicalQuery &Q,
+                                               Probe P) {
   Shard &S = shardFor(Q.hash());
   std::unique_lock<std::mutex> Lock(S.M);
-  for (;;) {
-    if (std::optional<core::Verdict> Hit = hitLocked(S, Q.key()))
-      return Hit;
-    auto [It, Claimed] =
-        S.Pending.try_emplace(Q.key(), std::make_shared<InFlight>());
-    if (Claimed) {
-      ++S.Misses;
-      MissesMetric.inc();
-      return std::nullopt;
-    }
-    // Another caller is computing this key: wait for its verdict. The
-    // slot outlives its Pending entry, and its verdict survives an
+  for (std::shared_ptr<InFlight> Slot = std::move(P.Slot);;) {
+    // The slot outlives its Pending entry, and its verdict survives an
     // eviction of the LRU entry insert() made.
-    std::shared_ptr<InFlight> Slot = It->second;
     S.Ready.wait(Lock, [&Slot] { return Slot->Done; });
     if (Slot->V) {
       ++S.Hits;
       HitsMetric.inc();
       return Slot->V;
     }
-    // Abandoned: retry. The first waiter back under the lock claims the
-    // key; the others wait on its claim.
+    // Abandoned: the first waiter back under the lock takes the claim
+    // over; the others wait on its claim.
+    if (std::optional<core::Verdict> Hit = hitLocked(S, Q.key()))
+      return Hit;
+    auto [It, Claimed] =
+        S.Pending.try_emplace(Q.key(), std::make_shared<InFlight>());
+    if (Claimed)
+      return std::nullopt;
+    Slot = It->second;
   }
 }
 

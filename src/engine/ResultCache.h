@@ -10,19 +10,17 @@
 /// proving, so duplicate and alpha-equivalent queries in a corpus are
 /// answered without re-running the prover.
 ///
-/// Single flight: lookupOrClaim() makes the first caller that misses
-/// on a key its *claimant*; a later caller for the same key blocks
-/// until the claimant publishes the verdict with insert() (and then
-/// takes that verdict as a hit) or gives the key up with abandon()
-/// (and then one waiter claims it). So a key is proved once however
-/// many workers ask for it at the same time: misses count the distinct
-/// keys proved, and hits count every other lookup, waits on an
-/// in-flight key included. A waiter takes the verdict from the
-/// in-flight slot itself, so an eviction between the insert and the
-/// waiter's wake-up cannot turn the hit back into a miss. Waits cannot
-/// deadlock as long as no caller calls lookupOrClaim() while it holds
-/// a claim (BatchProver's workers end each claim before their next
-/// lookup). The plain lookup() neither claims nor waits.
+/// Single flight: probe() makes the first caller that misses on a key
+/// its *claimant* (one miss); a later probe while the claim is open
+/// counts nothing and returns it *pending*. wait() then blocks until
+/// the claimant publishes the verdict with insert() (one hit) or gives
+/// the key up with abandon(); then the first waiter back takes the
+/// claim over, with no second miss. So a key is proved once however
+/// many workers ask for it: misses count the distinct keys proved, and
+/// hits every other lookup. A waiter takes the verdict from the
+/// in-flight slot its probe saw, so an eviction cannot turn the hit
+/// back into a miss. Waits cannot deadlock as long as no caller waits
+/// while it holds a claim. The plain lookup() neither claims nor waits.
 ///
 /// Sharding: the key's precomputed hash selects one of NumShards
 /// independent shards, each with its own mutex, map, and LRU list, so
@@ -68,6 +66,14 @@ struct CacheStats {
 
 /// Memoizes entailment verdicts keyed by CanonicalQuery::key().
 class ResultCache {
+  /// One claimed key's rendezvous: set Done (with V on insert, without
+  /// on abandon) and notify the shard's Ready. Waiters keep the slot
+  /// alive after the claim leaves the shard's Pending map.
+  struct InFlight {
+    std::optional<core::Verdict> V;
+    bool Done = false;
+  };
+
 public:
   struct Options {
     size_t NumShards = 16;         ///< Independent lock domains.
@@ -83,12 +89,24 @@ public:
   /// nullopt on a miss. Thread safe.
   std::optional<core::Verdict> lookup(const CanonicalQuery &Q);
 
-  /// Single-flight lookup: returns the memoized verdict for \p Q, or
-  /// the verdict of a concurrent claimant of \p Q after waiting for it
-  /// (both count as hits). Otherwise the caller becomes the claimant of
-  /// \p Q (one miss) and nullopt is returned; the claimant must end
-  /// its claim with insert() or abandon(). Thread safe.
-  std::optional<core::Verdict> lookupOrClaim(const CanonicalQuery &Q);
+  /// What probe() found: the memoized verdict V (a hit), a claim the
+  /// caller now holds (a miss), or another caller's open claim Slot
+  /// (nothing counted; resolve it with wait()).
+  struct Probe {
+    enum Kind : uint8_t { Hit, Claimed, Pending } K = Claimed;
+    core::Verdict V = core::Verdict::Unknown;
+    std::shared_ptr<InFlight> Slot;
+  };
+
+  /// Single-flight lookup that never blocks. A Claimed caller must end
+  /// its claim on \p Q with insert() or abandon(). Thread safe.
+  Probe probe(const CanonicalQuery &Q);
+
+  /// Blocks until the claim a Pending probe \p P of \p Q saw ends, and
+  /// returns its verdict (a hit). If it was abandoned, returns a later
+  /// or memoized verdict the same way, or takes the claim over
+  /// (nothing counted) and returns nullopt. Thread safe.
+  std::optional<core::Verdict> wait(const CanonicalQuery &Q, Probe P);
 
   /// Releases a claim on \p Q without a verdict; one waiter on \p Q
   /// (if any) then becomes its claimant. A no-op when \p Q is not
@@ -117,14 +135,6 @@ public:
   void clear();
 
 private:
-  /// One claimed key's rendezvous: set Done (with V on insert, without
-  /// on abandon) and notify the shard's Ready. Waiters keep the slot
-  /// alive after the claim leaves the shard's Pending map.
-  struct InFlight {
-    std::optional<core::Verdict> V;
-    bool Done = false;
-  };
-
   struct Shard {
     mutable std::mutex M;
     /// Front = most recently used. Node addresses are stable, so the

@@ -16,18 +16,13 @@ StealPool::StealPool(size_t Size, unsigned NumWorkers, obs::Gauge *Depth,
     : Remaining(Size), Size(Size), Depth(Depth), Cancel(Cancel) {
   assert(NumWorkers != 0 && "a pool needs at least one worker");
   Locals.reserve(NumWorkers);
-  for (unsigned W = 0; W != NumWorkers; ++W) {
-    auto L = std::make_unique<Local>();
-    // Contiguous block [Lo, Hi): workers walk the corpus in input
-    // order within their share, which keeps the task vector's pages
-    // warm and approximates the fetch-add queue's locality.
-    size_t Lo = Size * W / NumWorkers;
-    size_t Hi = Size * (W + 1) / NumWorkers;
-    L->Items.reserve(Hi - Lo);
-    for (size_t I = Lo; I != Hi; ++I)
-      L->Items.push_back(I);
-    Locals.push_back(std::move(L));
-  }
+  for (unsigned W = 0; W != NumWorkers; ++W)
+    Locals.push_back(std::make_unique<Local>());
+  // Dealt round-robin: every worker starts at the front of [0, Size),
+  // which callers order most expensive first, and the cheap tail sits
+  // at the back of every deque, where thieves take from.
+  for (size_t I = 0; I != Size; ++I)
+    Locals[I % NumWorkers]->Items.push_back(I);
   if (Depth)
     Depth->set(static_cast<int64_t>(Size));
 }
@@ -79,9 +74,9 @@ bool StealPool::stealInto(unsigned Worker) {
       size_t Avail = Victim.Items.size() - Victim.Head;
       if (Avail == 0)
         continue;
-      // Half from the back: the victim keeps the front of its block
-      // (the items it is about to reach anyway), the thief takes the
-      // far half, so both sides keep walking contiguous index runs.
+      // Half from the back: the victim keeps the front of its deque
+      // (its most expensive items, which it is about to reach anyway),
+      // the thief takes the cheap far half.
       size_t Take = (Avail + 1) / 2;
       Loot.assign(Victim.Items.end() - static_cast<ptrdiff_t>(Take),
                   Victim.Items.end());

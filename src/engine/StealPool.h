@@ -9,11 +9,13 @@
 /// with per-worker deques and work stealing. A single shared fetch-add
 /// counter would make every pop a contended store on one cache line; with
 /// heavy-tailed per-item costs it also serializes the tail of the run
-/// behind whichever worker drew the expensive items. Here each worker
-/// starts with a contiguous block of indices and pops from its own
+/// behind whichever worker drew the expensive items. Here the indices
+/// are dealt round-robin (worker w holds w, w + N, w + 2N, ...), so a
+/// caller that numbers its items most expensive first has every worker
+/// start on one of the N most expensive. Each worker pops from its own
 /// deque front (a thread-local mutex, uncontended in the common case);
 /// only when a worker drains does it touch anybody else's line,
-/// stealing half of a victim's remaining block from the back. The
+/// stealing the cheap half of a victim's remainder from the back. The
 /// result is the same exactly-once distribution with near-zero
 /// cross-core traffic while work is balanced and automatic rebalancing
 /// when it is not.
@@ -61,7 +63,7 @@ struct StealStats {
 /// exactly once, with per-worker deques and half-stealing.
 class StealPool {
 public:
-  /// Partitions [0, \p Size) into \p NumWorkers contiguous blocks.
+  /// Deals [0, \p Size) round-robin into \p NumWorkers deques.
   /// \p Depth, when given, is kept at the racy remaining() count on
   /// every claim, so a metrics snapshot taken mid-run sees the pool
   /// draining. \p Cancel, when given, preempts the pool: once it

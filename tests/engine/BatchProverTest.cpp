@@ -14,6 +14,9 @@
 
 #include "engine/BatchProver.h"
 #include "engine/ThreadPool.h"
+#include "engine/VcTasks.h"
+#include "fuzz/Transformers.h"
+#include "gen/Cloning.h"
 #include "gen/RandomEntailments.h"
 #include "sl/Parser.h"
 
@@ -148,6 +151,54 @@ TEST(BatchProver, DuplicatedCorpusAccountingIsExactAtAnyJobs) {
     EXPECT_EQ(Verdicts, Reference) << "jobs=" << Jobs;
   }
   EXPECT_LE(ReferenceMisses, Base.size());
+}
+
+TEST(BatchProver, RenamedHeavyQueryIsProvedOnceAtAnyJobs) {
+  // The three longest tasks are alpha-renamings of one slow query (a
+  // 6-fold clone of VC 28, the slowest of the symexec corpus), spread
+  // among short ones. Dealt heaviest first, they reach different workers at
+  // once: one claims the key, the others set their task aside and
+  // resolve it from the claimant's verdict.
+  std::vector<std::string> Corpus = makeCorpus(4, /*Seed=*/5);
+  std::vector<core::Verdict> Expected = sequentialVerdicts(Corpus);
+  VcTaskSet Vcs = symexecVcTasks();
+  ASSERT_TRUE(Vcs.ok());
+  ASSERT_GT(Vcs.Tasks.size(), 28u);
+  SymbolTable Symbols;
+  TermTable Terms(Symbols);
+  sl::ParseResult P = sl::parseEntailment(Terms, Vcs.Tasks[28].Text);
+  ASSERT_TRUE(P.ok());
+  sl::Entailment Heavy = gen::cloneEntailment(Terms, *P.Value, 6);
+  const size_t HeavyAt[] = {1, 4, 7};
+  for (size_t K = 0; K != 3; ++K) {
+    std::optional<sl::Entailment> R =
+        fuzz::apply(fuzz::TransformerKind::AlphaRename, Terms, Heavy, K + 1);
+    ASSERT_TRUE(R.has_value());
+    Corpus.insert(Corpus.begin() + HeavyAt[K], sl::str(Terms, *R));
+    Expected.insert(Expected.begin() + HeavyAt[K], core::Verdict::Valid);
+  }
+
+  for (unsigned Jobs : {2u, 4u}) {
+    BatchOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Presolve = false;
+    BatchProver Engine(Opts);
+    std::vector<QueryResult> Results = Engine.run(Corpus);
+    ASSERT_EQ(Results.size(), Corpus.size());
+    for (size_t I = 0; I != Results.size(); ++I)
+      EXPECT_EQ(Results[I].V, Expected[I]) << "jobs=" << Jobs << ": " << I;
+    unsigned HeavyHits = 0;
+    for (size_t I : HeavyAt)
+      HeavyHits += Results[I].FromCache;
+    EXPECT_EQ(HeavyHits, 2u) << "jobs=" << Jobs;
+    // The short queries are distinct keys: one miss each, no hits.
+    const BatchStats &S = Engine.stats();
+    EXPECT_EQ(S.CacheMisses, Corpus.size() - 2) << "jobs=" << Jobs;
+    EXPECT_EQ(S.CacheHits, 2u) << "jobs=" << Jobs;
+    CacheStats C = Engine.cache().stats();
+    EXPECT_EQ(C.Misses, S.CacheMisses) << "jobs=" << Jobs;
+    EXPECT_EQ(C.Hits, S.CacheHits) << "jobs=" << Jobs;
+  }
 }
 
 TEST(BatchProver, CacheOffNeverHits) {

@@ -15,6 +15,9 @@
 #include "baselines/Backends.h"
 #include "engine/BatchProver.h"
 #include "engine/Portfolio.h"
+#include "engine/VcTasks.h"
+#include "gen/Cloning.h"
+#include "sl/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -269,6 +272,45 @@ TEST(PortfolioTest, PerMemberFuelBudgetsApply) {
   core::BackendResult R = proveWith(P, NeedsSplit);
   EXPECT_EQ(R.V, core::Verdict::Unknown);
   EXPECT_TRUE(R.Backend.empty());
+}
+
+TEST(PortfolioTest, StatsSumEveryMembersWork) {
+  // Under a per-member budget below its need (a 2-fold clone of VC 28
+  // needs 19 fuel), nobody decides, so no member is cancelled and each
+  // does exactly its standalone work. The race's Stats must be the sum
+  // of all of it, the SLP member's counters once per SLP member.
+  VcTaskSet Vcs = symexecVcTasks();
+  ASSERT_GT(Vcs.Tasks.size(), 28u);
+  SymbolTable Symbols;
+  TermTable Terms(Symbols);
+  sl::ParseResult Vc = sl::parseEntailment(Terms, Vcs.Tasks[28].Text);
+  ASSERT_TRUE(Vc.ok());
+  const std::string Query =
+      sl::str(Terms, gen::cloneEntailment(Terms, *Vc.Value, 2));
+  constexpr uint64_t Budget = 15;
+  core::SlpBackend Slp;
+  baselines::BerdineBackend Berdine;
+  core::ProveStats Want = proveWith(Slp, Query.c_str(), Budget).Stats;
+  Want += Want;
+  Want += proveWith(Berdine, Query.c_str(), Budget).Stats;
+  ASSERT_GT(Want.Derived, 0u) << "the query must exercise saturation";
+
+  PortfolioOptions PO;
+  PO.Backends = {BackendKind::Slp, BackendKind::Berdine, BackendKind::Slp};
+  PO.FuelPerQuery = Budget;
+  PortfolioProver P(std::move(PO));
+  core::BackendResult R = proveWith(P, Query.c_str());
+  ASSERT_EQ(R.V, core::Verdict::Unknown);
+  for (const BackendTally &T : P.tallies())
+    EXPECT_EQ(T.Cancelled, 0u) << T.Name;
+#define SLP_CHECK_COUNTER(Field, Metric)                                      \
+  EXPECT_EQ(R.Stats.Field, Want.Field) << Metric;
+  SLP_SATURATION_COUNTERS(SLP_CHECK_COUNTER)
+#undef SLP_CHECK_COUNTER
+  EXPECT_EQ(R.Stats.OuterIterations, Want.OuterIterations);
+  EXPECT_EQ(R.Stats.InnerIterations, Want.InnerIterations);
+  EXPECT_EQ(R.Stats.PureClauses, Want.PureClauses);
+  EXPECT_EQ(R.Stats.FuelUsed, Want.FuelUsed);
 }
 
 //===----------------------------------------------------------------------===//

@@ -46,6 +46,22 @@ void letWaitersBlock() {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 }
 
+/// Probes \p Q and, when another caller claims it, waits the claim out
+/// at once: the verdict (a hit), or nullopt when the caller claims \p Q.
+std::optional<core::Verdict> lookupOrClaim(ResultCache &Cache,
+                                           const CanonicalQuery &Q) {
+  ResultCache::Probe P = Cache.probe(Q);
+  switch (P.K) {
+  case ResultCache::Probe::Hit:
+    return P.V;
+  case ResultCache::Probe::Claimed:
+    return std::nullopt;
+  case ResultCache::Probe::Pending:
+    break;
+  }
+  return Cache.wait(Q, std::move(P));
+}
+
 } // namespace
 
 TEST_F(ResultCacheTest, KeyIsStable) {
@@ -259,9 +275,9 @@ TEST_F(ResultCacheTest, ConcurrentMixedAccessIsSafe) {
 TEST_F(ResultCacheTest, ClaimThenInsertIsOneMiss) {
   ResultCache Cache;
   CanonicalQuery Q = canon("next(x, y) |- lseg(x, y)");
-  EXPECT_FALSE(Cache.lookupOrClaim(Q).has_value());
+  EXPECT_FALSE(lookupOrClaim(Cache, Q).has_value());
   Cache.insert(Q, core::Verdict::Valid);
-  std::optional<core::Verdict> Hit = Cache.lookupOrClaim(Q);
+  std::optional<core::Verdict> Hit = lookupOrClaim(Cache, Q);
   ASSERT_TRUE(Hit.has_value());
   EXPECT_EQ(*Hit, core::Verdict::Valid);
   CacheStats S = Cache.stats();
@@ -273,7 +289,7 @@ TEST_F(ResultCacheTest, ClaimThenInsertIsOneMiss) {
 TEST_F(ResultCacheTest, PlainLookupNeitherClaimsNorWaits) {
   ResultCache Cache;
   CanonicalQuery Q = canon("next(x, y) |- lseg(x, y)");
-  EXPECT_FALSE(Cache.lookupOrClaim(Q).has_value());
+  EXPECT_FALSE(lookupOrClaim(Cache, Q).has_value());
   // The key is claimed but has no verdict yet: a plain lookup misses at
   // once, as it did before claims existed.
   EXPECT_FALSE(Cache.lookup(Q).has_value());
@@ -285,12 +301,12 @@ TEST_F(ResultCacheTest, PlainLookupNeitherClaimsNorWaits) {
 TEST_F(ResultCacheTest, WaiterReceivesClaimantsVerdictAsHit) {
   ResultCache Cache;
   CanonicalQuery Q = canon("x != y & lseg(x, y) |- lseg(x, y)");
-  ASSERT_FALSE(Cache.lookupOrClaim(Q).has_value());
+  ASSERT_FALSE(lookupOrClaim(Cache, Q).has_value());
 
   std::atomic<bool> Returned{false};
   std::optional<core::Verdict> Got;
   std::thread Waiter([&] {
-    Got = Cache.lookupOrClaim(Q);
+    Got = lookupOrClaim(Cache, Q);
     Returned = true;
   });
   letWaitersBlock();
@@ -309,7 +325,7 @@ TEST_F(ResultCacheTest, WaiterReceivesClaimantsVerdictAsHit) {
 TEST_F(ResultCacheTest, AbandonHandsTheClaimToExactlyOneWaiter) {
   ResultCache Cache;
   CanonicalQuery Q = canon("next(x, y) * next(y, z) |- lseg(x, z)");
-  ASSERT_FALSE(Cache.lookupOrClaim(Q).has_value());
+  ASSERT_FALSE(lookupOrClaim(Cache, Q).has_value());
 
   constexpr int NumWaiters = 4;
   std::atomic<int> Returned{0}, NewClaimants{0};
@@ -317,7 +333,7 @@ TEST_F(ResultCacheTest, AbandonHandsTheClaimToExactlyOneWaiter) {
   std::vector<std::thread> Waiters;
   for (int I = 0; I != NumWaiters; ++I)
     Waiters.emplace_back([&, I] {
-      Got[I] = Cache.lookupOrClaim(Q);
+      Got[I] = lookupOrClaim(Cache, Q);
       if (!Got[I]) {
         // This waiter now owns the key and must end its claim.
         ++NewClaimants;
@@ -335,7 +351,8 @@ TEST_F(ResultCacheTest, AbandonHandsTheClaimToExactlyOneWaiter) {
   for (const std::optional<core::Verdict> &V : Got)
     EXPECT_EQ(V.value_or(core::Verdict::Invalid), core::Verdict::Invalid);
   CacheStats S = Cache.stats();
-  EXPECT_EQ(S.Misses, 2u); // The first claim and its successor.
+  // The successor inherits the first claim's miss.
+  EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.Hits, static_cast<uint64_t>(NumWaiters - 1));
   EXPECT_EQ(S.Insertions, 1u);
 }
@@ -347,10 +364,10 @@ TEST_F(ResultCacheTest, WaiterKeepsVerdictEvictedBeforeItWakes) {
   ResultCache Cache(Opts);
   CanonicalQuery Q = canon("next(x, y) |- lseg(x, y)");
   CanonicalQuery Other = canon("lseg(x, y) |- next(x, y)");
-  ASSERT_FALSE(Cache.lookupOrClaim(Q).has_value());
+  ASSERT_FALSE(lookupOrClaim(Cache, Q).has_value());
 
   std::optional<core::Verdict> Got;
-  std::thread Waiter([&] { Got = Cache.lookupOrClaim(Q); });
+  std::thread Waiter([&] { Got = lookupOrClaim(Cache, Q); });
   letWaitersBlock();
   // Publish and evict back to back: the waiter usually wakes only after
   // the eviction. Either order must hand it the published verdict.
@@ -377,13 +394,19 @@ TEST_F(ResultCacheTest, ConcurrentClaimsProveEachKeyOnce) {
     Queries.push_back(canon(Q.c_str()));
   }
 
-  std::atomic<int> Claims{0}, Published{0};
+  std::atomic<int> Claims{0}, Takeovers{0}, Published{0};
   std::vector<std::thread> Threads;
   for (int T = 0; T != 4; ++T)
     Threads.emplace_back([&, T] {
       for (int Round = 0; Round != 100; ++Round) {
         const CanonicalQuery &Q = Queries[(T * 3 + Round) % Queries.size()];
-        if (!Cache.lookupOrClaim(Q)) {
+        ResultCache::Probe P = Cache.probe(Q);
+        bool Claimed = P.K == ResultCache::Probe::Claimed;
+        if (P.K == ResultCache::Probe::Pending && !Cache.wait(Q, P)) {
+          Claimed = true;
+          ++Takeovers; // An abandoned claim passed to this thread.
+        }
+        if (Claimed) {
           ++Claims;
           if (Round % 5 == 0) {
             Cache.abandon(Q); // Leave it for another thread.
@@ -397,10 +420,72 @@ TEST_F(ResultCacheTest, ConcurrentClaimsProveEachKeyOnce) {
   for (std::thread &T : Threads)
     T.join();
 
+  // Every lookup is a hit, a fresh claim (a miss), or a takeover of an
+  // abandoned claim (counted by the claim it took over).
   CacheStats S = Cache.stats();
-  EXPECT_EQ(S.Hits + S.Misses, 4u * 100u);
-  EXPECT_EQ(S.Misses, static_cast<uint64_t>(Claims.load()));
+  EXPECT_EQ(S.Hits + S.Misses + Takeovers, 4u * 100u);
+  EXPECT_EQ(S.Misses + Takeovers, static_cast<uint64_t>(Claims.load()));
   // No key was proved while another claim on it was open.
   EXPECT_EQ(static_cast<uint64_t>(Published.load()), S.Entries);
   EXPECT_LE(S.Entries, Queries.size());
+}
+
+TEST_F(ResultCacheTest, ProbeOfClaimedKeyIsPendingAndCountsNothing) {
+  ResultCache Cache;
+  CanonicalQuery Q = canon("x != y & lseg(x, y) |- lseg(x, y)");
+  std::thread Claimant([&] {
+    EXPECT_EQ(Cache.probe(Q).K, ResultCache::Probe::Claimed);
+  });
+  Claimant.join();
+
+  // Another caller's probe neither blocks nor counts.
+  ResultCache::Probe P = Cache.probe(Q);
+  ASSERT_EQ(P.K, ResultCache::Probe::Pending);
+  EXPECT_EQ(Cache.probe(Q).K, ResultCache::Probe::Pending);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Hits, 0u);
+  EXPECT_EQ(S.Misses, 1u);
+
+  // The later wait takes the claimant's verdict as exactly one hit.
+  std::thread Publisher([&] {
+    letWaitersBlock();
+    Cache.insert(Q, core::Verdict::Valid);
+  });
+  std::optional<core::Verdict> Got = Cache.wait(Q, P);
+  Publisher.join();
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(*Got, core::Verdict::Valid);
+  S = Cache.stats();
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Insertions, 1u);
+}
+
+TEST_F(ResultCacheTest, AbandonedClaimPassesToWaiterWithOneMiss) {
+  ResultCache Cache;
+  CanonicalQuery Q = canon("next(x, y) * next(y, z) |- lseg(x, z)");
+  std::thread Claimant([&] {
+    EXPECT_EQ(Cache.probe(Q).K, ResultCache::Probe::Claimed);
+  });
+  Claimant.join();
+  ResultCache::Probe P = Cache.probe(Q);
+  ASSERT_EQ(P.K, ResultCache::Probe::Pending);
+
+  std::thread Abandoner([&] {
+    letWaitersBlock();
+    Cache.abandon(Q);
+  });
+  EXPECT_FALSE(Cache.wait(Q, P).has_value()) << "the claim did not pass";
+  Abandoner.join();
+  // The waiter now claims the key: others find it pending.
+  EXPECT_EQ(Cache.probe(Q).K, ResultCache::Probe::Pending);
+  Cache.insert(Q, core::Verdict::Invalid);
+  ResultCache::Probe After = Cache.probe(Q);
+  EXPECT_EQ(After.K, ResultCache::Probe::Hit);
+  EXPECT_EQ(After.V, core::Verdict::Invalid);
+
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits, 1u); // The probe after the insert.
+  EXPECT_EQ(S.Insertions, 1u);
 }

@@ -25,11 +25,18 @@ using namespace slp::engine;
 
 namespace {
 
+/// Busy-waits for a moment: one expensive item.
+void spin() {
+  std::atomic<unsigned> Spin{0};
+  while (Spin.fetch_add(1, std::memory_order_relaxed) != 20000) {
+  }
+}
+
 /// Runs \p Workers threads popping from \p Pool, bumping a per-index
-/// claim count; returns the counts. Indices below \p SlowBelow
+/// claim count; returns the counts. Indices for which \p Slow holds
 /// busy-wait, giving the run a skewed cost profile.
 std::vector<unsigned> drain(StealPool &Pool, unsigned Workers,
-                            size_t SlowBelow = 0) {
+                            bool (*Slow)(size_t) = nullptr) {
   std::vector<std::atomic<unsigned>> Claims(Pool.size());
   std::vector<std::thread> Threads;
   for (unsigned W = 0; W != Workers; ++W)
@@ -37,11 +44,8 @@ std::vector<unsigned> drain(StealPool &Pool, unsigned Workers,
       size_t I;
       while (Pool.pop(W, I)) {
         Claims[I].fetch_add(1, std::memory_order_relaxed);
-        if (I < SlowBelow) {
-          std::atomic<unsigned> Spin{0};
-          while (Spin.fetch_add(1, std::memory_order_relaxed) != 20000) {
-          }
-        }
+        if (Slow && Slow(I))
+          spin();
       }
     });
   for (std::thread &T : Threads)
@@ -82,12 +86,13 @@ TEST(StealPoolTest, EmptyPoolPopsFalse) {
 }
 
 TEST(StealPoolTest, ImbalanceTriggersStealing) {
-  // Worker 0's initial block ([0, 500)) is entirely slow items, the
-  // other three blocks are free: workers 1-3 drain quickly and must
-  // relieve worker 0 by stealing (the pool still has hundreds of
-  // unclaimed indices when they run dry).
+  // Worker 0's dealt share (the multiples of 4) is entirely slow
+  // items, the other three shares are free: workers 1-3 drain quickly
+  // and must relieve worker 0 by stealing (the pool still has hundreds
+  // of unclaimed indices when they run dry).
   StealPool Pool(2000, 4);
-  std::vector<unsigned> Claims = drain(Pool, 4, /*SlowBelow=*/500);
+  std::vector<unsigned> Claims =
+      drain(Pool, 4, [](size_t I) { return I % 4 == 0; });
   for (size_t I = 0; I != Claims.size(); ++I)
     EXPECT_EQ(Claims[I], 1u);
   StealStats T = Pool.totals();
@@ -150,7 +155,7 @@ TEST(StealPoolTest, DepthGaugeDrainsToZero) {
 
 TEST(StealPoolTest, PerWorkerStatsSumToTotals) {
   StealPool Pool(500, 3);
-  drain(Pool, 3, /*SlowBelow=*/100);
+  drain(Pool, 3, [](size_t I) { return I < 100; });
   StealStats Sum;
   for (unsigned W = 0; W != 3; ++W)
     Sum += Pool.stats(W);
@@ -158,6 +163,40 @@ TEST(StealPoolTest, PerWorkerStatsSumToTotals) {
   EXPECT_EQ(Sum.Executed, T.Executed);
   EXPECT_EQ(Sum.Steals, T.Steals);
   EXPECT_EQ(Sum.StealAttempts, T.StealAttempts);
+}
+
+TEST(StealPoolTest, DealtOrderStartsEachWorkerOnAHeaviestItem) {
+  // The engine numbers its tasks heaviest first; round-robin dealing
+  // must hand every worker one of the Jobs heaviest as its first pop.
+  constexpr size_t Size = 400;
+  for (unsigned Workers : {2u, 3u, 4u}) {
+    StealPool Pool(Size, Workers);
+    std::vector<std::atomic<unsigned>> Claims(Size);
+    std::vector<size_t> First(Workers, Size);
+    std::atomic<unsigned> Started{0};
+    std::vector<std::thread> Threads;
+    for (unsigned W = 0; W != Workers; ++W)
+      Threads.emplace_back([&, W] {
+        // Start together, so nobody drains and steals a late starter's
+        // deque before its first pop.
+        ++Started;
+        while (Started.load() != Workers) {
+        }
+        size_t I;
+        while (Pool.pop(W, I)) {
+          if (First[W] == Size)
+            First[W] = I;
+          Claims[I].fetch_add(1, std::memory_order_relaxed);
+          spin();
+        }
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    for (unsigned W = 0; W != Workers; ++W)
+      EXPECT_LT(First[W], Workers) << "worker " << W << " of " << Workers;
+    for (size_t I = 0; I != Size; ++I)
+      EXPECT_EQ(Claims[I].load(), 1u) << "index " << I;
+  }
 }
 
 } // namespace
