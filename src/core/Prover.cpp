@@ -9,7 +9,6 @@
 #include "core/ModelAdapter.h"
 #include "core/Normalization.h"
 #include "core/Unfolding.h"
-#include "core/WellFormedness.h"
 
 using namespace slp;
 using namespace slp::core;
@@ -100,11 +99,14 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
       case sup::SatResult::Saturated:
         break;
       }
-      C = normalize(*Sat, *R, CF.PosSigma); // Line 8.
+      // Line 8, with the W consequences of line 9 read off the same
+      // pass, each scoped to the edges of the terms it reads.
+      NormalizedPos N = normalizeWithConsequences(Terms, *Sat, *R, CF.PosSigma);
+      C = std::move(N.C);
 
       // Line 9: S := S* ∪ PCns_W({C}); exit on fixpoint (line 10).
       bool AnyNew = false;
-      for (PureInput &In : wellFormednessConsequences(Terms, C))
+      for (PureInput &In : N.WConsequences)
         AnyNew |= addPure(std::move(In));
       if (!AnyNew)
         break;

@@ -12,7 +12,9 @@
 ///       (refutation => the entailment is valid),
 ///   (2) generating an equality model ⟨R, g⟩ = Gen(S*),
 ///   (3) normalizing ∅ → Σ along R and adding the well-formedness
-///       consequences PCns_W (inner loop, until fixpoint),
+///       consequences PCns_W, each carrying the residue of only the
+///       rewrite edges of the terms its rule reads (inner loop, until
+///       fixpoint),
 ///   (4) checking R |= Π' (failure => concrete countermodel), and
 ///   (5) running the unfolding walk against the normalized
 ///       Π'+, Σ' → Π'−, which either derives one new pure clause (loop

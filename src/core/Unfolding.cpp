@@ -7,7 +7,7 @@
 #include "core/Unfolding.h"
 
 #include "core/ModelAdapter.h"
-#include "core/WellFormedness.h"
+#include "core/Normalization.h"
 
 #include <algorithm>
 #include <unordered_map>

@@ -49,4 +49,4 @@ function(check_outlier Budget Verdict)
 endfunction()
 
 check_outlier(100 unknown "clauses=108 fuel=101\n")
-check_outlier(12000 valid "clauses=250 fuel=231\n" "fwd=378 bwd=181 ")
+check_outlier(12000 valid "clauses=136 fuel=129\n" "fwd=89 bwd=67 ")

@@ -6,18 +6,21 @@
 ///
 /// Unit tests for the individual core components: the model adapter
 /// (Definition 3.1 / 4.1), normalization (N rules, Lemma 4.2),
-/// well-formedness consequences (W rules), and the unfolding walk
-/// (U rules + SR, Lemma 4.4) — each exercised in isolation.
+/// well-formedness consequences (W rules) and their scoping to the
+/// edges of the terms each rule reads, and the unfolding walk (U rules
+/// + SR, Lemma 4.4) — each exercised in isolation.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/ModelAdapter.h"
 #include "core/Normalization.h"
 #include "core/Unfolding.h"
-#include "core/WellFormedness.h"
 #include "superposition/Saturation.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
 
 using namespace slp;
 using namespace slp::core;
@@ -31,6 +34,14 @@ protected:
   KBO Ord;
 
   const Term *T(const char *N) { return Terms.constant(N); }
+
+  /// The W consequences of \p C under the empty model (nothing to
+  /// normalize, so no residue).
+  std::vector<PureInput> wConsequences(const PosSpatialClause &C) {
+    sup::Saturation Sat(Terms, Ord);
+    GroundRewriteSystem R(Terms);
+    return normalizeWithConsequences(Terms, Sat, R, C).WConsequences;
+  }
 };
 
 } // namespace
@@ -96,7 +107,7 @@ TEST_F(ComponentsTest, NormalizationRewritesAndDropsTrivial) {
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::lseg(T("a"), T("b")),
              sl::HeapAtom::next(T("b"), T("c"))};
-  PosSpatialClause N = normalize(Sat, R, C);
+  PosSpatialClause N = normalizeWithConsequences(Terms, Sat, R, C).C;
   // lseg(a, b) became trivial and vanished; b rewrote to a.
   ASSERT_EQ(N.Sigma.size(), 1u);
   EXPECT_TRUE(N.Sigma[0].isNext());
@@ -127,7 +138,7 @@ TEST_F(ComponentsTest, NormalizationAccumulatesResidue) {
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::lseg(T("a"), T("b")),
              sl::HeapAtom::lseg(T("a"), T("c"))};
-  PosSpatialClause N = normalize(Sat, R, C);
+  PosSpatialClause N = normalizeWithConsequences(Terms, Sat, R, C).C;
   ASSERT_EQ(N.Sigma.size(), 1u); // One lseg became trivial.
   ASSERT_EQ(N.Pos.size(), 1u);   // The other disjunct is the residue.
   EXPECT_TRUE(N.Neg.empty());
@@ -158,7 +169,7 @@ TEST_F(ComponentsTest, NormalizationOfNegativeClause) {
 TEST_F(ComponentsTest, W1NextAtNil) {
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::next(Terms.nil(), T("y"))};
-  auto Out = wellFormednessConsequences(Terms, C);
+  auto Out = wConsequences(C);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_TRUE(Out[0].Neg.empty());
   EXPECT_TRUE(Out[0].Pos.empty()); // The empty clause: Σ unsatisfiable.
@@ -168,7 +179,7 @@ TEST_F(ComponentsTest, W1NextAtNil) {
 TEST_F(ComponentsTest, W2LsegAtNil) {
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::lseg(Terms.nil(), T("y"))};
-  auto Out = wellFormednessConsequences(Terms, C);
+  auto Out = wConsequences(C);
   ASSERT_EQ(Out.size(), 1u);
   ASSERT_EQ(Out[0].Pos.size(), 1u); // y ' nil.
   EXPECT_TRUE(Out[0].Pos[0].mentions(T("y")));
@@ -180,14 +191,14 @@ TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
   {
     PosSpatialClause C;
     C.Sigma = {sl::HeapAtom::next(X, Y), sl::HeapAtom::next(X, Z)};
-    auto Out = wellFormednessConsequences(Terms, C);
+    auto Out = wConsequences(C);
     ASSERT_EQ(Out.size(), 1u);
     EXPECT_TRUE(Out[0].Pos.empty()); // W3: contradiction.
   }
   {
     PosSpatialClause C;
     C.Sigma = {sl::HeapAtom::next(X, Y), sl::HeapAtom::lseg(X, Z)};
-    auto Out = wellFormednessConsequences(Terms, C);
+    auto Out = wConsequences(C);
     ASSERT_EQ(Out.size(), 1u);
     ASSERT_EQ(Out[0].Pos.size(), 1u); // W4: x ' z.
     EXPECT_EQ(Out[0].Pos[0], sup::Equation(X, Z));
@@ -195,7 +206,7 @@ TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
   {
     PosSpatialClause C;
     C.Sigma = {sl::HeapAtom::lseg(X, Y), sl::HeapAtom::lseg(X, Z)};
-    auto Out = wellFormednessConsequences(Terms, C);
+    auto Out = wConsequences(C);
     ASSERT_EQ(Out.size(), 1u);
     EXPECT_EQ(Out[0].Pos.size(), 2u); // W5: x ' y, x ' z.
   }
@@ -207,7 +218,7 @@ TEST_F(ComponentsTest, WRulesCarryClausePureParts) {
   C.Pos = {sup::Equation(T("r"), T("s"))};
   C.Sigma = {sl::HeapAtom::next(T("x"), T("y")),
              sl::HeapAtom::next(T("x"), T("z"))};
-  auto Out = wellFormednessConsequences(Terms, C);
+  auto Out = wConsequences(C);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out[0].Neg, C.Neg);
   EXPECT_EQ(Out[0].Pos, C.Pos);
@@ -217,10 +228,186 @@ TEST_F(ComponentsTest, WellFormedCleanSigmaNoConsequences) {
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::next(T("x"), T("y")),
              sl::HeapAtom::lseg(T("y"), T("z"))};
-  EXPECT_TRUE(wellFormednessConsequences(Terms, C).empty());
+  EXPECT_TRUE(wConsequences(C).empty());
   EXPECT_TRUE(isWellFormed(C.Sigma));
   C.Sigma.push_back(sl::HeapAtom::next(T("x"), T("w")));
   EXPECT_FALSE(isWellFormed(C.Sigma));
+}
+
+TEST_F(ComponentsTest, WConsequencesCarryOnlyTheEdgesTheyRead) {
+  // Four edges, each generated by a clause with its own residue:
+  //   b => a (residue p1 ' q1), y => x (g ' h in Γ'),
+  //   d => c (residue p2 ' q2), w => v (residue p3 ' q3).
+  // Σ = next(b, y) * next(a, z) * next(d, u) * lseg(c, w) normalizes
+  // to a W3 pair at a and a W4 pair at c; each W clause must carry the
+  // residue of its own address edges (and the lseg's value edge for
+  // W4), not that of the unrelated pair or of next(b, y)'s value.
+  const Term *A = T("a"), *B = T("b"), *C0 = T("c"), *D = T("d");
+  const Term *X = T("x"), *Y = T("y"), *V = T("v"), *W = T("w");
+  const Term *Z = T("z"), *U = T("u");
+  sup::Equation P1(T("p1"), T("q1")), P2(T("p2"), T("q2")),
+      P3(T("p3"), T("q3")), G(T("g"), T("h"));
+  sup::Saturation Sat(Terms, Ord);
+  GroundRewriteSystem R(Terms);
+  auto Edge = [&](const Term *Lhs, const Term *Rhs,
+                  std::vector<sup::Equation> Neg,
+                  std::vector<sup::Equation> Residue) {
+    Residue.push_back(sup::Equation(Lhs, Rhs));
+    auto [Id, New] = Sat.addInput(std::move(Neg), std::move(Residue));
+    ASSERT_TRUE(New);
+    R.addRule(Lhs, Rhs, Id);
+  };
+  Edge(B, A, {}, {P1});
+  Edge(Y, X, {G}, {});
+  Edge(D, C0, {}, {P2});
+  Edge(W, V, {}, {P3});
+
+  PosSpatialClause C;
+  C.Sigma = {sl::HeapAtom::next(B, Y), sl::HeapAtom::next(A, Z),
+             sl::HeapAtom::next(D, U), sl::HeapAtom::lseg(C0, W)};
+  NormalizedPos N = normalizeWithConsequences(Terms, Sat, R, C);
+
+  // The normalized clause still carries every edge's residue.
+  auto Sorted = [](std::vector<sup::Equation> Es) {
+    std::sort(Es.begin(), Es.end());
+    return Es;
+  };
+  EXPECT_EQ(N.C.Neg, std::vector<sup::Equation>{G});
+  EXPECT_EQ(N.C.Pos, Sorted({P1, P2, P3}));
+
+  ASSERT_EQ(N.WConsequences.size(), 2u);
+  const PureInput &W3 = N.WConsequences[0];
+  EXPECT_EQ(W3.Label.rfind("W3", 0), 0u);
+  EXPECT_TRUE(W3.Neg.empty()); // y => x is a value edge: not read.
+  EXPECT_EQ(W3.Pos, std::vector<sup::Equation>{P1});
+
+  const PureInput &W4 = N.WConsequences[1];
+  EXPECT_EQ(W4.Label.rfind("W4", 0), 0u);
+  EXPECT_TRUE(W4.Neg.empty());
+  std::vector<sup::Equation> Expected = Sorted({P2, P3});
+  Expected.push_back(sup::Equation(C0, V)); // The lseg must be empty.
+  EXPECT_EQ(W4.Pos, Expected);
+}
+
+TEST_F(ComponentsTest, ScopedWConsequencesRefineTheUnscopedRules) {
+  // Random Σ and random edges with residue: the scoped pass must fire
+  // the same (rule, atom pair) sequence as W1-W5 applied to the whole
+  // normalized clause, and each scoped Γ/∆ must be a subset of the
+  // unscoped one.
+  std::mt19937 Rng(20261022);
+  std::vector<const Term *> Cs{Terms.nil()};
+  for (const char *N : {"c1", "c2", "c3", "c4", "c5", "c6", "c7"})
+    Cs.push_back(T(N));
+  // Γ' residue from one pool and ∆' residue from another, so no
+  // generating clause is a tautology.
+  std::vector<const Term *> NegPool{T("r0"), T("r1"), T("r2")};
+  std::vector<const Term *> PosPool{T("r3"), T("r4"), T("r5"), T("r6")};
+  auto Pick = [&](size_t N) {
+    return std::uniform_int_distribution<size_t>(0, N - 1)(Rng);
+  };
+  auto RandomEq = [&](const std::vector<const Term *> &Pool) {
+    size_t I = Pick(Pool.size()), J = Pick(Pool.size() - 1);
+    return sup::Equation(Pool[I], Pool[J < I ? J : J + 1]);
+  };
+  auto Contains = [](const std::vector<sup::Equation> &Es,
+                     const sup::Equation &E) {
+    return std::find(Es.begin(), Es.end(), E) != Es.end();
+  };
+
+  size_t Fired = 0, Narrowed = 0;
+  for (unsigned Trial = 0; Trial != 400; ++Trial) {
+    sup::Saturation Sat(Terms, Ord);
+    GroundRewriteSystem R(Terms);
+    // Each rule rewrites toward a smaller index, so R terminates.
+    for (size_t I = 1; I != Cs.size(); ++I) {
+      if (Pick(10) < 4)
+        continue;
+      const Term *Rhs = Cs[Pick(I)];
+      std::vector<sup::Equation> Neg, Pos{sup::Equation(Cs[I], Rhs)};
+      if (Pick(3) == 0)
+        Neg.push_back(RandomEq(NegPool));
+      for (size_t K = Pick(3); K != 0; --K)
+        Pos.push_back(RandomEq(PosPool));
+      auto [Id, New] = Sat.addInput(std::move(Neg), std::move(Pos));
+      ASSERT_TRUE(New);
+      R.addRule(Cs[I], Rhs, Id);
+    }
+    PosSpatialClause C;
+    for (size_t K = 2 + Pick(5); K != 0; --K) {
+      const Term *Addr = Cs[Pick(Cs.size())], *Val = Cs[Pick(Cs.size())];
+      C.Sigma.push_back(Pick(2) ? sl::HeapAtom::next(Addr, Val)
+                                : sl::HeapAtom::lseg(Addr, Val));
+    }
+    NormalizedPos N = normalizeWithConsequences(Terms, Sat, R, C);
+
+    // The normalized Σ is the atom-wise normal form, trivial lsegs
+    // dropped.
+    sl::SpatialFormula Expected;
+    for (const sl::HeapAtom &A : C.Sigma) {
+      sl::HeapAtom NA = A;
+      NA.Addr = R.normalize(A.Addr);
+      NA.Val = R.normalize(A.Val);
+      if (!NA.isTrivialLseg())
+        Expected.push_back(NA);
+    }
+    ASSERT_EQ(sl::str(Terms, N.C.Sigma), sl::str(Terms, Expected));
+
+    // The unscoped rules on the whole normalized clause.
+    struct Unscoped {
+      std::string Rule;
+      sl::SpatialFormula Atoms;
+      std::vector<sup::Equation> Extra;
+    };
+    std::vector<Unscoped> Ref;
+    const sl::SpatialFormula &S = N.C.Sigma;
+    for (size_t I = 0; I != S.size(); ++I) {
+      if (S[I].Addr->isNil())
+        Ref.push_back(S[I].isNext()
+                          ? Unscoped{"W1", {S[I]}, {}}
+                          : Unscoped{"W2", {S[I]},
+                                     {sup::Equation(S[I].Val, S[I].Addr)}});
+      for (size_t J = I + 1; J != S.size(); ++J) {
+        if (S[I].Addr != S[J].Addr)
+          continue;
+        if (S[I].isNext() && S[J].isNext())
+          Ref.push_back({"W3", {S[I], S[J]}, {}});
+        else if (S[I].isNext() || S[J].isNext()) {
+          const sl::HeapAtom &L = S[I].isLseg() ? S[I] : S[J];
+          Ref.push_back({"W4", {S[I], S[J]}, {sup::Equation(L.Addr, L.Val)}});
+        } else {
+          Ref.push_back({"W5",
+                         {S[I], S[J]},
+                         {sup::Equation(S[I].Addr, S[I].Val),
+                          sup::Equation(S[J].Addr, S[J].Val)}});
+        }
+      }
+    }
+
+    ASSERT_EQ(N.WConsequences.size(), Ref.size()) << sl::str(Terms, C.Sigma);
+    for (size_t K = 0; K != Ref.size(); ++K) {
+      const PureInput &W = N.WConsequences[K];
+      SCOPED_TRACE(W.Label);
+      // Same rule on the same atom pair, with the same conclusion.
+      EXPECT_EQ(W.Label.rfind(Ref[K].Rule, 0), 0u);
+      std::string Pair = sl::str(Terms, Ref[K].Atoms);
+      ASSERT_GE(W.Label.size(), Pair.size());
+      EXPECT_EQ(W.Label.substr(W.Label.size() - Pair.size()), Pair);
+      ASSERT_GE(W.Pos.size(), Ref[K].Extra.size());
+      EXPECT_TRUE(std::equal(Ref[K].Extra.begin(), Ref[K].Extra.end(),
+                             W.Pos.end() - Ref[K].Extra.size()));
+      // Γ ⊆ Γ_R and ∆ ⊆ ∆_R ∪ Extra.
+      for (const sup::Equation &E : W.Neg)
+        EXPECT_TRUE(Contains(N.C.Neg, E));
+      for (size_t L = 0; L != W.Pos.size() - Ref[K].Extra.size(); ++L)
+        EXPECT_TRUE(Contains(N.C.Pos, W.Pos[L]));
+      ++Fired;
+      Narrowed += W.Neg.size() + W.Pos.size() <
+                  N.C.Neg.size() + N.C.Pos.size() + Ref[K].Extra.size();
+    }
+  }
+  // The corpus exercises the rules and the scoping.
+  EXPECT_GT(Fired, 100u);
+  EXPECT_GT(Narrowed, 10u);
 }
 
 //===----------------------------------------------------------------------===//
