@@ -9,10 +9,11 @@
 /// distribution 1, 10 to 20 variables, with the P_lseg / P_≠
 /// parameters the paper lists per row (calibrated there to ≈50% valid
 /// instances). Columns: the greedy jStar-style prover, the complete
-/// Smallfoot-style prover, and SLP. Cells are seconds for the whole
-/// batch; "(N%)" marks the fraction of instances decided before the
-/// per-instance fuel budget ran out, mirroring the paper's 10-minute
-/// timeout notation.
+/// Smallfoot-style prover, SLP with the static pre-solver on, and SLP
+/// with it off (the paper's SLP column: saturation alone). Cells are
+/// seconds for the whole batch; "(N%)" marks the fraction of instances
+/// decided before the per-instance fuel budget ran out, mirroring the
+/// paper's 10-minute timeout notation.
 ///
 /// Defaults are sized for a quick run (100 instances/row); set
 /// SLP_BENCH_INSTANCES=1000 for the paper's full batch size and
@@ -89,8 +90,9 @@ int main(int argc, char **argv) {
   std::printf("Table 1: %u random instances of F -> false per row "
               "(fuel %llu/instance)\n\n",
               Instances, static_cast<unsigned long long>(FuelBudget));
-  std::printf("%5s %6s %5s %7s | %14s %14s %14s", "Vars", "Plseg", "Pne",
-              "%Valid", "Greedy[jStar]", "Berdine[SF]", "SLP");
+  std::printf("%5s %6s %5s %7s | %14s %14s %14s %14s", "Vars", "Plseg",
+              "Pne", "%Valid", "Greedy[jStar]", "Berdine[SF]", "SLP",
+              "SLP(no-pre)");
   if (WithPortfolio)
     std::printf(" %14s", "Portfolio");
   std::printf("\n");
@@ -110,11 +112,7 @@ int main(int argc, char **argv) {
     BatchResult Slp = runSlp(Terms, Batch, FuelBudget);
     BatchResult Berdine = runBerdine(Terms, Batch, FuelBudget);
     BatchResult Greedy = runGreedy(Terms, Batch, FuelBudget);
-    // The presolve wall-clock delta only goes into the trajectory
-    // artifact, so skip the extra pass on plain-text runs.
-    BatchResult SlpNoPre;
-    if (Json)
-      SlpNoPre = runSlpNoPresolve(Terms, Batch, FuelBudget);
+    BatchResult SlpNoPre = runSlpNoPresolve(Terms, Batch, FuelBudget);
     BatchResult Portfolio;
     if (WithPortfolio) {
       Portfolio = runPortfolio(Terms, Batch, FuelBudget);
@@ -122,10 +120,10 @@ int main(int argc, char **argv) {
         PortfolioWins[T.Name] += T.Wins;
     }
 
-    std::printf("%5u %6.2f %5.2f %6u%% | %14s %14s %14s", R.Vars, R.PLseg,
-                R.PNe, 100 * Slp.Valid / std::max(1u, Slp.Total),
+    std::printf("%5u %6.2f %5.2f %6u%% | %14s %14s %14s %14s", R.Vars,
+                R.PLseg, R.PNe, 100 * Slp.Valid / std::max(1u, Slp.Total),
                 cell(Greedy).c_str(), cell(Berdine).c_str(),
-                cell(Slp).c_str());
+                cell(Slp).c_str(), cell(SlpNoPre).c_str());
     if (WithPortfolio)
       std::printf(" %14s", cell(Portfolio).c_str());
     std::printf("\n");

@@ -287,79 +287,59 @@ BatchProver::run(const std::vector<core::ProofTask> &Tasks) {
   std::vector<QueryResult> Results(Tasks.size());
   Timer T;
 
-  unsigned Jobs = ThreadPool::resolveJobs(Opts.Jobs);
+  // One worker per task at most, and at least one (its session counts
+  // in Stats.Sessions even for an empty batch).
+  const unsigned Jobs = static_cast<unsigned>(std::min<size_t>(
+      ThreadPool::resolveJobs(Opts.Jobs), std::max<size_t>(Tasks.size(), 1)));
   Stats = BatchStats();
-  Stats.WorkersUsed = 1;
-  auto Retire = [this](const Worker &W) {
-    const core::SessionStats &SS = W.Session.stats();
+  Stats.WorkersUsed = Jobs;
+
+  // Longest text first (stable): dealt round-robin, every worker
+  // starts on a heavy task, and thieves take the short tail.
+  std::vector<size_t> Order(Tasks.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  std::stable_sort(Order.begin(), Order.end(), [&Tasks](size_t A, size_t B) {
+    return Tasks[A].Text.size() > Tasks[B].Text.size();
+  });
+  StealPool Queue(Tasks.size(), Jobs,
+                  &obs::metrics().gauge("engine.queue.depth"), Opts.Cancel);
+  std::vector<std::unique_ptr<Worker>> Workers(Jobs);
+  ThreadPool Pool(Jobs);
+  Pool.run([&](unsigned J) {
+    // One long-lived worker context per job for the whole batch.
+    Workers[J] = std::make_unique<Worker>(Opts);
+    size_t P;
+    while (Queue.pop(J, P)) {
+      size_t I = Order[P];
+      Results[I] = proveOne(Tasks[I], I, *Workers[J]);
+    }
+    resolveLater(Tasks, *Workers[J], Results);
+  });
+
+  for (const std::unique_ptr<Worker> &W : Workers) {
+    const core::SessionStats &SS = W->Session.stats();
     ++Stats.Sessions;
     Stats.SessionResets += SS.Resets;
     Stats.TermsReclaimed += SS.TermsReclaimed;
     Stats.ArenaBytesReclaimed += SS.BytesReclaimed;
     Stats.ArenaSlabsReused += SS.SlabsReused;
-    Stats.ParseSeconds += W.ParseSeconds;
-    Stats.PresolveSeconds += W.PresolveSeconds;
-    Stats.ProveSeconds += W.ProveSeconds;
-    Stats.CacheSeconds += W.CacheSeconds;
+    Stats.ParseSeconds += W->ParseSeconds;
+    Stats.PresolveSeconds += W->PresolveSeconds;
+    Stats.ProveSeconds += W->ProveSeconds;
+    Stats.CacheSeconds += W->CacheSeconds;
     // Merge per-backend tallies across workers, preserving member order.
-    for (const BackendTally &BT : W.tallies()) {
-      BackendTally *Into = nullptr;
-      for (BackendTally &Existing : Stats.Backends)
-        if (Existing.Name == BT.Name)
-          Into = &Existing;
-      if (!Into) {
-        Stats.Backends.push_back(BackendTally{BT.Name, 0, 0, 0, 0, 0, 0});
-        Into = &Stats.Backends.back();
-      }
-      Into->Races += BT.Races;
-      Into->Wins += BT.Wins;
-      Into->Definitive += BT.Definitive;
-      Into->Cancelled += BT.Cancelled;
-      Into->Seconds += BT.Seconds;
-      Into->FuelUsed += BT.FuelUsed;
+    for (const BackendTally &BT : W->tallies()) {
+      auto Into = std::find_if(
+          Stats.Backends.begin(), Stats.Backends.end(),
+          [&BT](const BackendTally &E) { return E.Name == BT.Name; });
+      if (Into == Stats.Backends.end())
+        Stats.Backends.push_back(BT);
+      else
+        *Into += BT;
     }
-  };
-
-  if (Jobs <= 1 || Tasks.size() <= 1) {
-    Worker W(Opts);
-    for (size_t I = 0; I != Tasks.size(); ++I) {
-      if (Opts.Cancel && Opts.Cancel->cancelled())
-        break; // Unclaimed tasks keep their default Unknown result.
-      Results[I] = proveOne(Tasks[I], I, W);
-    }
-    resolveLater(Tasks, W, Results);
-    Retire(W);
-  } else {
-    Stats.WorkersUsed = Jobs;
-    // Longest text first (stable): dealt round-robin, every worker
-    // starts on a heavy task, and thieves take the short tail.
-    std::vector<size_t> Order(Tasks.size());
-    std::iota(Order.begin(), Order.end(), size_t(0));
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&Tasks](size_t A, size_t B) {
-                       return Tasks[A].Text.size() > Tasks[B].Text.size();
-                     });
-    StealPool Queue(Tasks.size(), Jobs,
-                    &obs::metrics().gauge("engine.queue.depth"), Opts.Cancel);
-    ThreadPool Pool(Jobs);
-    std::vector<std::unique_ptr<Worker>> Workers(Jobs);
-    for (unsigned J = 0; J != Jobs; ++J)
-      Pool.submit([this, J, &Queue, &Order, &Tasks, &Results, &Workers] {
-        // One long-lived worker context per job for the whole batch.
-        Workers[J] = std::make_unique<Worker>(Opts);
-        size_t P;
-        while (Queue.pop(J, P)) {
-          size_t I = Order[P];
-          Results[I] = proveOne(Tasks[I], I, *Workers[J]);
-        }
-        resolveLater(Tasks, *Workers[J], Results);
-      });
-    Pool.wait();
-    for (const std::unique_ptr<Worker> &W : Workers)
-      Retire(*W);
-    Stats.Steals = Queue.totals().Steals;
-    Stats.StealAttempts = Queue.totals().StealAttempts;
   }
+  Stats.Steals = Queue.totals().Steals;
+  Stats.StealAttempts = Queue.totals().StealAttempts;
 
   Stats.Seconds = T.seconds();
   Stats.Queries = Tasks.size();

@@ -26,7 +26,7 @@
 /// cache first — while table construction, the second parse of the
 /// old engine, and most allocator traffic disappear from the per-query
 /// cost. Results are reported in input order; a `--jobs=8` run is
-/// byte-identical to a sequential one.
+/// byte-identical to a one-worker one.
 ///
 /// The cache lookup is single-flight (ResultCache::probe): a miss
 /// claims its canonical key. A worker that meets the key while the
@@ -144,9 +144,9 @@ struct BatchStats {
   /// over the proved (non-cached, non-presolved) queries. Subsumption
   /// pruning is Work.SubScanBaseline / Work.SubChecks.
   core::ProveStats Work;
-  /// Work distribution over the run: worker threads actually used, and
-  /// the steal pool's counters (all zero when Jobs <= 1 — the
-  /// sequential path has nobody to steal from).
+  /// Work distribution over the run: workers actually used (Jobs,
+  /// clamped to the task count), and the steal pool's counters (all
+  /// zero with one worker — nobody to steal from).
   unsigned WorkersUsed = 0;
   uint64_t Steals = 0, StealAttempts = 0;
   /// Per-phase wall clock, summed across workers (CPU-seconds; the

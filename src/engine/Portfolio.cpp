@@ -12,7 +12,6 @@
 #include "support/Timer.h"
 
 #include <cassert>
-#include <thread>
 
 using namespace slp;
 using namespace slp::engine;
@@ -74,7 +73,9 @@ void engine::publishBackendTallies(const std::vector<BackendTally> &Tallies) {
   }
 }
 
-PortfolioProver::PortfolioProver(PortfolioOptions O) : Opts(std::move(O)) {
+PortfolioProver::PortfolioProver(PortfolioOptions O)
+    : Opts(std::move(O)),
+      Racers(static_cast<unsigned>(Opts.Backends.size())) {
   assert(!Opts.Backends.empty() && "portfolio needs at least one member");
   for (BackendKind K : Opts.Backends) {
     assert(K != BackendKind::Portfolio && "portfolios do not nest");
@@ -83,40 +84,6 @@ PortfolioProver::PortfolioProver(PortfolioOptions O) : Opts(std::move(O)) {
     RaceSpanNames.push_back(std::string("race:") + Members.back()->name());
   }
   Slots.resize(Members.size());
-
-  // Persistent worker threads for members 1..N-1; member 0 always
-  // runs on the prove() caller's thread. Workers sleep between races,
-  // so a portfolio over a corpus of tiny queries pays the thread
-  // creation once, not twice per task.
-  for (size_t I = 1; I < Members.size(); ++I)
-    Workers.emplace_back([this, I] {
-      uint64_t Seen = 0;
-      for (;;) {
-        {
-          std::unique_lock<std::mutex> L(M);
-          StartCV.wait(L, [&] { return Stopping || Generation != Seen; });
-          if (Stopping)
-            return;
-          Seen = Generation;
-        }
-        runMember(I);
-        {
-          std::lock_guard<std::mutex> L(M);
-          --Pending;
-        }
-        DoneCV.notify_all();
-      }
-    });
-}
-
-PortfolioProver::~PortfolioProver() {
-  {
-    std::lock_guard<std::mutex> L(M);
-    Stopping = true;
-  }
-  StartCV.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
 }
 
 bool PortfolioProver::complete() const {
@@ -126,17 +93,18 @@ bool PortfolioProver::complete() const {
   return false;
 }
 
-void PortfolioProver::runMember(size_t I) {
+void PortfolioProver::runMember(size_t I, const core::ProofTask &Task,
+                                CancelToken &Cancel, uint64_t Budget) {
   // Span names are precomputed so the disabled path allocates nothing.
   obs::TraceSpan Span(RaceSpanNames[I].c_str());
   Timer T;
-  Fuel MF = RaceBudget ? Fuel(RaceBudget, Cancel) : Fuel(Cancel);
+  Fuel MF = Budget ? Fuel(Budget, &Cancel) : Fuel(&Cancel);
   Slot &S = Slots[I];
-  S.R = Members[I]->prove(*Task, MF);
+  S.R = Members[I]->prove(Task, MF);
   S.Seconds = T.seconds();
   S.Seq = Seq.fetch_add(1, std::memory_order_relaxed);
   if (S.R.definitive())
-    Cancel->cancel(); // Decided: stop the losers.
+    Cancel.cancel(); // Decided: stop the losers.
   else
     S.Cancelled = MF.cancelled();
   Span.arg("seq", static_cast<uint64_t>(S.Seq));
@@ -165,29 +133,7 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
   for (Slot &S : Slots)
     S = Slot{};
 
-  if (N == 1) {
-    Task = &T;
-    Cancel = &RaceCancel;
-    RaceBudget = Budget;
-    runMember(0);
-  } else {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Task = &T;
-      Cancel = &RaceCancel;
-      RaceBudget = Budget;
-      Pending = static_cast<unsigned>(N - 1);
-      ++Generation;
-    }
-    StartCV.notify_all();
-    runMember(0);
-    std::unique_lock<std::mutex> L(M);
-    DoneCV.wait(L, [&] { return Pending == 0; });
-  }
-
-  // Race over; the pointers into this frame must not outlive it.
-  Task = nullptr;
-  Cancel = nullptr;
+  Racers.run([&](unsigned I) { runMember(I, T, RaceCancel, Budget); });
 
   // The accepted verdict: first definitive finisher in race order.
   size_t Winner = N;
@@ -200,13 +146,9 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
   core::ProveStats Total;
   for (size_t I = 0; I != N; ++I) {
     const Slot &S = Slots[I];
-    BackendTally &Tally = Tallies[I];
-    ++Tally.Races;
-    Tally.Wins += (I == Winner);
-    Tally.Definitive += S.R.definitive();
-    Tally.Cancelled += S.Cancelled;
-    Tally.Seconds += S.Seconds;
-    Tally.FuelUsed += S.R.Stats.FuelUsed;
+    Tallies[I] += BackendTally{/*Name=*/"", /*Races=*/1, I == Winner,
+                               S.R.definitive(), S.Cancelled, S.Seconds,
+                               S.R.Stats.FuelUsed};
     Total += S.R.Stats;
   }
   // Charge the caller's budget with the whole race for accounting;

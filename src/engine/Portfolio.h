@@ -14,7 +14,8 @@
 /// syntactic bulk almost for free, the Berdine splitter is quick on
 /// small aliasing-light sequents, and SLP bounds the worst case —
 /// racing them costs one extra thread per member and wins whenever the
-/// cheap engines get there first (see docs/backends.md).
+/// cheap engines get there first (see docs/backends.md). Each race is
+/// one ThreadPool::run over a pool with one worker per member.
 ///
 /// Determinism: all members are sound and the complete members agree
 /// with SLP on every decided query, so the *verdict* is independent of
@@ -31,14 +32,12 @@
 #define SLP_ENGINE_PORTFOLIO_H
 
 #include "core/Backend.h"
+#include "engine/ThreadPool.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace slp {
@@ -77,6 +76,17 @@ struct BackendTally {
                            ///< members run concurrently, so the sum
                            ///< exceeds the portfolio's elapsed time).
   uint64_t FuelUsed = 0;   ///< Inference steps summed over races.
+
+  /// Adds \p O's counters into this one (the name is kept).
+  BackendTally &operator+=(const BackendTally &O) {
+    Races += O.Races;
+    Wins += O.Wins;
+    Definitive += O.Definitive;
+    Cancelled += O.Cancelled;
+    Seconds += O.Seconds;
+    FuelUsed += O.FuelUsed;
+    return *this;
+  }
 };
 
 /// Adds \p Tallies into the global metrics registry as
@@ -106,14 +116,13 @@ struct PortfolioOptions {
 /// Races the configured backends per task. Itself an
 /// EntailmentBackend, so everything that can drive one backend can
 /// drive a portfolio. Not thread safe (the engine keeps one per
-/// worker); the concurrency is inside prove(): members 1..N-1 run on
-/// persistent worker threads (spawned once at construction, woken per
-/// task — no per-task thread create/join), member 0 on the calling
-/// thread.
+/// worker); the concurrency is inside prove(), which races the members
+/// on a ThreadPool of one worker per member: member 0 on the calling
+/// thread, members 1..N-1 on pool threads spawned once at construction
+/// (no per-task thread create/join).
 class PortfolioProver final : public core::EntailmentBackend {
 public:
   explicit PortfolioProver(PortfolioOptions Opts = {});
-  ~PortfolioProver() override;
 
   const char *name() const override { return "portfolio"; }
 
@@ -144,9 +153,11 @@ private:
     bool Cancelled = false; ///< Gave up because the race was decided.
   };
 
-  /// Runs member \p I on the current race (Task/Cancel), filling its
-  /// slot and raising the race token on a definitive verdict.
-  void runMember(size_t I);
+  /// Runs member \p I on \p Task with a budget of \p Budget (0 =
+  /// unlimited), filling its slot and raising \p Cancel on a
+  /// definitive verdict.
+  void runMember(size_t I, const core::ProofTask &Task, CancelToken &Cancel,
+                 uint64_t Budget);
 
   PortfolioOptions Opts;
   std::vector<std::unique_ptr<core::EntailmentBackend>> Members;
@@ -154,23 +165,9 @@ private:
   /// "race:<member>" trace-span names, precomputed so runMember's span
   /// costs one relaxed load when tracing is off.
   std::vector<std::string> RaceSpanNames;
-
-  /// Race plumbing. Task/Cancel describe the in-flight race; they are
-  /// published under M before the workers are woken and stay fixed
-  /// until every worker has reported back, so runMember reads them
-  /// without locking.
-  std::vector<std::thread> Workers; ///< One per member 1..N-1.
-  std::mutex M;
-  std::condition_variable StartCV; ///< Wakes workers: new race or stop.
-  std::condition_variable DoneCV;  ///< Wakes prove(): all reported.
-  uint64_t Generation = 0;         ///< Race number; guards wakeups.
-  unsigned Pending = 0;            ///< Workers still running this race.
-  bool Stopping = false;
-  const core::ProofTask *Task = nullptr;
-  CancelToken *Cancel = nullptr;
-  uint64_t RaceBudget = 0; ///< Per-member budget; 0 = unlimited.
-  std::atomic<unsigned> Seq{0};
+  std::atomic<unsigned> Seq{0}; ///< Next finish-order number.
   std::vector<Slot> Slots;
+  ThreadPool Racers; ///< One worker per member.
 };
 
 } // namespace engine

@@ -1,4 +1,4 @@
-//===- engine/ThreadPool.cpp - Fixed-size worker pool -------------------------===//
+//===- engine/ThreadPool.cpp - Fork-join worker pool --------------------------===//
 //
 // Part of the SLP project.
 //
@@ -11,57 +11,67 @@
 using namespace slp;
 using namespace slp::engine;
 
-ThreadPool::ThreadPool(unsigned NumThreads) {
-  unsigned N = resolveJobs(NumThreads);
-  Workers.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
-  obs::metrics().gauge("engine.pool.threads").add(N);
+ThreadPool::ThreadPool(unsigned Workers) {
+  for (unsigned W = 1; W < Workers; ++W)
+    Threads.emplace_back([this, W] { threadLoop(W); });
+  obs::metrics().gauge("engine.pool.threads")
+      .add(static_cast<int64_t>(Threads.size()));
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> Lock(M);
+    std::lock_guard<std::mutex> L(M);
     Stopping = true;
   }
-  TaskReady.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
+  StartCV.notify_all();
+  for (std::thread &T : Threads)
+    T.join();
   obs::metrics().gauge("engine.pool.threads")
-      .add(-static_cast<int64_t>(Workers.size()));
+      .add(-static_cast<int64_t>(Threads.size()));
 }
 
-void ThreadPool::submit(std::function<void()> Task) {
-  {
-    std::unique_lock<std::mutex> Lock(M);
-    Tasks.push_back(std::move(Task));
-  }
-  TaskReady.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> Lock(M);
-  Idle.wait(Lock, [this] { return Tasks.empty() && Running == 0; });
-}
-
-void ThreadPool::workerLoop() {
+void ThreadPool::threadLoop(unsigned Worker) {
+  uint64_t Seen = 0;
   for (;;) {
-    std::function<void()> Task;
+    const std::function<void(unsigned)> *Job;
     {
-      std::unique_lock<std::mutex> Lock(M);
-      TaskReady.wait(Lock, [this] { return Stopping || !Tasks.empty(); });
-      if (Tasks.empty())
-        return; // Stopping and drained.
-      Task = std::move(Tasks.front());
-      Tasks.pop_front();
-      ++Running;
+      std::unique_lock<std::mutex> L(M);
+      StartCV.wait(L, [&] { return Stopping || Generation != Seen; });
+      if (Stopping)
+        return;
+      Seen = Generation;
+      Job = Fn;
     }
-    Task();
+    (*Job)(Worker);
+    bool Last;
     {
-      std::unique_lock<std::mutex> Lock(M);
-      --Running;
-      if (Tasks.empty() && Running == 0)
-        Idle.notify_all();
+      std::lock_guard<std::mutex> L(M);
+      Last = --Pending == 0;
     }
+    if (Last)
+      DoneCV.notify_one();
   }
+}
+
+void ThreadPool::run(const std::function<void(unsigned)> &F) {
+  {
+    std::lock_guard<std::mutex> L(M);
+    Fn = &F;
+    Pending = static_cast<unsigned>(Threads.size());
+    ++Generation;
+  }
+  StartCV.notify_all();
+  // The other workers read state in the caller's frame, so wait for
+  // them even when worker 0 throws.
+  auto Join = [this] {
+    std::unique_lock<std::mutex> L(M);
+    DoneCV.wait(L, [this] { return Pending == 0; });
+  };
+  try {
+    F(0);
+  } catch (...) {
+    Join();
+    throw;
+  }
+  Join();
 }

@@ -1,15 +1,18 @@
-//===- engine/ThreadPool.h - Fixed-size worker pool -------------*- C++ -*-===//
+//===- engine/ThreadPool.h - Fork-join worker pool --------------*- C++ -*-===//
 //
 // Part of the SLP project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size pool of worker threads draining a FIFO task queue.
-/// The batch engine submits one long-lived worker task per job slot
-/// (each of which drains a StealPool), but the pool is general: any
-/// number of tasks can be submitted and wait() blocks until the queue
-/// is empty and every running task has finished.
+/// The one place SLP starts threads. A pool of N workers spawns N - 1
+/// persistent threads once; run(Fn) calls Fn(0) on the calling thread
+/// and Fn(1..N-1) on the pool threads, and returns when every call has
+/// returned. The prover itself is sequential; everything concurrent
+/// around it forks and joins through here: the batch engine (one call
+/// per batch, each worker draining a StealPool), the portfolio (one
+/// call per race, one worker per member) and the fuzz campaign (one
+/// call per campaign).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +20,7 @@
 #define SLP_ENGINE_THREADPOOL_H
 
 #include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -26,26 +29,27 @@
 namespace slp {
 namespace engine {
 
-/// Fixed-size thread pool with a FIFO task queue.
+/// Fork-join pool: run() fans one call out per worker and joins them.
 class ThreadPool {
 public:
-  /// Spawns \p NumThreads workers; 0 means hardware concurrency.
-  explicit ThreadPool(unsigned NumThreads = 0);
+  /// Spawns \p Workers - 1 threads; the caller of run() is worker 0.
+  /// 0 is treated as 1.
+  explicit ThreadPool(unsigned Workers);
 
-  /// Drains outstanding tasks, then joins all workers.
+  /// Joins the pool threads.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Enqueues \p Task for execution on some worker.
-  void submit(std::function<void()> Task);
+  /// Calls \p Fn(W) once for every worker W in [0, numWorkers()) —
+  /// worker 0 on the calling thread — and returns when all calls have
+  /// returned. Not reentrant: one run() at a time per pool. If Fn(0)
+  /// throws, the exception is rethrown after the other workers finish.
+  void run(const std::function<void(unsigned Worker)> &Fn);
 
-  /// Blocks until the queue is empty and no task is running.
-  void wait();
-
-  unsigned numThreads() const {
-    return static_cast<unsigned>(Workers.size());
+  unsigned numWorkers() const {
+    return static_cast<unsigned>(Threads.size()) + 1;
   }
 
   /// Resolves a requested job count: 0 means hardware concurrency
@@ -58,14 +62,17 @@ public:
   }
 
 private:
-  void workerLoop();
+  void threadLoop(unsigned Worker);
 
-  std::vector<std::thread> Workers;
+  std::vector<std::thread> Threads; ///< Workers 1..N-1.
   std::mutex M;
-  std::condition_variable TaskReady; ///< Signals workers: task or stop.
-  std::condition_variable Idle;      ///< Signals wait(): all drained.
-  std::deque<std::function<void()>> Tasks;
-  size_t Running = 0; ///< Tasks currently executing.
+  std::condition_variable StartCV; ///< Wakes threads: new run or stop.
+  std::condition_variable DoneCV;  ///< Wakes run(): all threads done.
+  /// The in-flight run's function; set under M before the threads are
+  /// woken and fixed until they have all reported back.
+  const std::function<void(unsigned)> *Fn = nullptr;
+  uint64_t Generation = 0; ///< run() number; guards wakeups.
+  unsigned Pending = 0;    ///< Threads still inside this run's Fn.
   bool Stopping = false;
 };
 

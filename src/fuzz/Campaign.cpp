@@ -9,19 +9,21 @@
 #include "analysis/StaticAnalyzer.h"
 #include "baselines/Backends.h"
 #include "engine/CanonicalKey.h"
+#include "engine/StealPool.h"
+#include "engine/ThreadPool.h"
 #include "gen/Cloning.h"
 #include "gen/RandomEntailments.h"
 #include "obs/Metrics.h"
 #include "sl/Parser.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace slp;
 using namespace slp::fuzz;
@@ -626,18 +628,19 @@ CampaignReport Campaign::run() {
                      ? Opts.BackendFactory
                      : std::function(defaultBackends);
 
+  const unsigned Jobs = static_cast<unsigned>(
+      std::min<size_t>(engine::ThreadPool::resolveJobs(Opts.Jobs),
+                       std::max<size_t>(Seeds.size(), 1)));
   std::vector<UnitOutcome> Slots(Seeds.size());
   std::vector<char> Ran(Seeds.size(), 0);
-  std::atomic<size_t> Next{0};
   std::atomic<bool> Truncated{false};
-
-  auto WorkerFn = [&]() {
+  engine::StealPool Units(Seeds.size(), Jobs);
+  engine::ThreadPool Pool(Jobs);
+  Pool.run([&](unsigned W) {
     std::vector<std::unique_ptr<core::EntailmentBackend>> Backends =
         Factory();
-    for (;;) {
-      size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Seeds.size())
-        return;
+    size_t I;
+    while (Units.pop(W, I)) {
       if (Opts.OnlyUnit >= 0 && I != static_cast<size_t>(Opts.OnlyUnit))
         continue;
       if (Clock::now() >= Deadline) {
@@ -648,23 +651,7 @@ CampaignReport Campaign::run() {
       Slots[I] = Runner.run();
       Ran[I] = 1;
     }
-  };
-
-  unsigned Jobs = Opts.Jobs ? Opts.Jobs : std::thread::hardware_concurrency();
-  if (Jobs == 0)
-    Jobs = 1;
-  Jobs = static_cast<unsigned>(
-      std::min<size_t>(Jobs, std::max<size_t>(Seeds.size(), 1)));
-  if (Jobs <= 1) {
-    WorkerFn();
-  } else {
-    std::vector<std::thread> Threads;
-    Threads.reserve(Jobs);
-    for (unsigned I = 0; I != Jobs; ++I)
-      Threads.emplace_back(WorkerFn);
-    for (std::thread &T : Threads)
-      T.join();
-  }
+  });
 
   for (size_t I = 0; I != Slots.size(); ++I) {
     if (!Ran[I])

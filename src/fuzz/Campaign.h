@@ -32,8 +32,8 @@
 /// and shrinking is greedy in a fixed order, so the set of variants,
 /// findings, and the JSON report are pure functions of the options —
 /// independent of Jobs and scheduling. A wall-clock budget can
-/// truncate a campaign (whole trailing units are dropped); truncated
-/// reports say so.
+/// truncate a campaign (whole units not yet started are dropped);
+/// truncated reports say so.
 ///
 //===----------------------------------------------------------------------===//
 

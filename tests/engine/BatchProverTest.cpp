@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/BatchProver.h"
-#include "engine/ThreadPool.h"
 #include "engine/VcTasks.h"
 #include "fuzz/Transformers.h"
 #include "gen/Cloning.h"
@@ -21,8 +20,6 @@
 #include "sl/Parser.h"
 
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 using namespace slp;
 using namespace slp::engine;
@@ -263,18 +260,4 @@ TEST(BatchProver, SplitCorpusSkipsBlanksAndComments) {
   ASSERT_EQ(Lines.size(), 2u);
   EXPECT_EQ(Lines[0], "next(x, y) |- lseg(x, y)");
   EXPECT_EQ(Lines[1], "lseg(a, b) |- lseg(a, b)");
-}
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool Pool(3);
-  EXPECT_EQ(Pool.numThreads(), 3u);
-  std::atomic<int> Counter{0};
-  for (int I = 0; I != 100; ++I)
-    Pool.submit([&Counter] { Counter.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Counter.load(), 100);
-  // The pool stays usable after a wait().
-  Pool.submit([&Counter] { Counter.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Counter.load(), 101);
 }
